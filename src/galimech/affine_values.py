@@ -47,12 +47,6 @@ __all__ = [
     "affine_pairing",
     "frame_free_legendre",
     "morse_family",
-    "TangentElement",
-    "CotangentElement",
-    "LiftElement",
-    "to_lagrangian_side",
-    "to_hamiltonian_side",
-    "legendre_relation",
     "is_universal_member",
 ]
 
@@ -227,54 +221,6 @@ def morse_family(potential: Potential, x: Event, momentum: AffineMomentum,
     """
     return fiber_difference(affine_lagrangian(momentum.mass, potential, x, v),
                             affine_pairing(momentum, v))
-
-
-@dataclass(frozen=True)
-class TangentElement:
-    """Tangent to the frame-free phase space: rates over (x, momentum)."""
-
-    x: Event
-    momentum: AffineMomentum
-    v: FourVector
-    a: FourCovector
-
-
-@dataclass(frozen=True)
-class CotangentElement:
-    """Covector on the frame-free phase space at (x, momentum)."""
-
-    x: Event
-    momentum: AffineMomentum
-    a: FourCovector
-    v: FourVector
-
-
-@dataclass(frozen=True)
-class LiftElement:
-    """Covector over velocity space at (x, v)."""
-
-    x: Event
-    v: FourVector
-    a: FourCovector
-    momentum: AffineMomentum
-
-
-def to_lagrangian_side(t: TangentElement) -> LiftElement:
-    """Read a phase-space rate as a velocity-space covector."""
-    return LiftElement(t.x, t.v, t.a, t.momentum)
-
-
-def to_hamiltonian_side(t: TangentElement) -> CotangentElement:
-    """Read a phase-space rate as a phase-space covector.
-
-    The symplectic flip negates the velocity slot.
-    """
-    return CotangentElement(t.x, t.momentum, t.a, -t.v)
-
-
-def legendre_relation(c: CotangentElement) -> LiftElement:
-    """Composite of the two readings; relates the two generating pictures."""
-    return LiftElement(c.x, -c.v, c.a, c.momentum)
 
 
 def is_universal_member(potential: Potential, x: Event,

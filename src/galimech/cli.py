@@ -20,7 +20,7 @@ from .config import ConfigError, RunConfig, load_config
 from .frame_dynamics import IntegrationDiverged, Sample, State, integrate
 from .homogeneous import legendre, mass_shell_residual
 from .potentials import Potential
-from .verify import render_report, run_checks
+from .verify import max_event_gap, render_report, run_checks
 
 __all__ = ["main"]
 
@@ -84,10 +84,7 @@ def _cmd_boost(args) -> int:
         p2 = p2 + SpatialCovector(args.corrupt_momentum, 0.0, 0.0)
     first = _run(cfg, u1, cfg.p0)
     second = _run(cfg, u2, p2)
-    discrepancy = max(
-        max(abs(a - b) for a, b in zip(s1.state.x.components(),
-                                       s2.state.x.components()))
-        for s1, s2 in zip(first, second))
+    discrepancy = max_event_gap(first, second)
 
     lines = _csv_section(u1, cfg.mass, cfg.potential, first)
     lines.append("")

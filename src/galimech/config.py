@@ -22,8 +22,7 @@ class ConfigError(ValueError):
 
 _KNOWN_KEYS = frozenset({
     "mass", "potential.kind", "potential.k", "potential.kappa",
-    "potential.center", "frame", "x0", "v0", "p0", "dt", "steps",
-    "seed", "tol",
+    "potential.center", "frame", "x0", "v0", "p0", "dt", "steps", "tol",
 })
 
 _REQUIRED_KEYS = ("mass", "potential.kind", "x0", "dt", "steps")
@@ -38,7 +37,6 @@ class RunConfig:
     p0: SpatialCovector
     dt: float
     steps: int
-    seed: int
     tol: float
     # Kept alongside the derived p0: some commands report in velocity terms.
     v0: SpatialVector | None = None
@@ -139,7 +137,6 @@ def parse_config(text: str) -> RunConfig:
     steps = _int("steps", entries["steps"])
     if steps < 1:
         raise ConfigError(f"steps: must be at least 1, got {steps}")
-    seed = _int("seed", entries["seed"]) if "seed" in entries else 0
     tol = _float("tol", entries["tol"]) if "tol" in entries else 1e-6
     if not tol > 0:
         raise ConfigError(f"tol: must be positive, got {tol}")
@@ -156,7 +153,7 @@ def parse_config(text: str) -> RunConfig:
         p0 = metric(v0) * mass
 
     return RunConfig(mass=mass, potential=_build_potential(entries), frame=frame,
-                     x0=x0, p0=p0, dt=dt, steps=steps, seed=seed, tol=tol, v0=v0)
+                     x0=x0, p0=p0, dt=dt, steps=steps, tol=tol, v0=v0)
 
 
 def load_config(path: str) -> RunConfig:

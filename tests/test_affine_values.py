@@ -3,9 +3,7 @@ from hypothesis import given, strategies as st
 
 from galimech.affine_values import (
     AffineMomentum,
-    CotangentElement,
     LagrangianValue,
-    TangentElement,
     affine_eval,
     affine_lagrangian,
     affine_momentum,
@@ -15,12 +13,9 @@ from galimech.affine_values import (
     frame_shift,
     is_universal_member,
     lagrangian_value,
-    legendre_relation,
     momentum_transport,
     morse_family,
     shell_function,
-    to_hamiltonian_side,
-    to_lagrangian_side,
     unit_value,
     zero_value,
 )
@@ -226,22 +221,6 @@ def test_morse_family_detects_off_shell_momenta():
     slope = (morse_family(phi, x, kicked, v + step)
              - morse_family(phi, x, kicked, v - step)) / (2 * h)
     assert abs(slope) == pytest.approx(0.3, rel=1e-6)
-
-
-@given(events, masses, four_covectors, four_velocities, four_covectors)
-def test_side_readings_compose_to_the_identity(x, mass, p, v, a):
-    t = TangentElement(x, AffineMomentum(mass, p), v, a)
-    assert legendre_relation(to_hamiltonian_side(t)) == to_lagrangian_side(t)
-
-
-def test_hamiltonian_side_flips_the_velocity():
-    t = TangentElement(ORIGIN, AffineMomentum(1.0, FourCovector(0.0, 1.0, 0.0, 0.0)),
-                       FourVector(1.0, 0.5, 0.0, 0.0),
-                       FourCovector(0.0, 0.0, 0.0, 0.0))
-    c = to_hamiltonian_side(t)
-    assert isinstance(c, CotangentElement)
-    assert c.v == -t.v
-    assert c.momentum == t.momentum and c.a == t.a and c.x == t.x
 
 
 @given(masses, potentials, events, frames, four_velocities, st.floats(0.1, 3))

@@ -100,6 +100,7 @@ def test_missing_mass_names_the_key(tmp_path, capsys):
                               "potential.kind = cubic"),
     lambda text: text.replace("dt = 0.125", "dt = -1"),
     lambda text: text + "potential.kappa = 1.0\n",
+    lambda text: text + "seed = 3\n",
 ])
 def test_malformed_configs_exit_2(tmp_path, mangle):
     cfg = write(tmp_path, mangle(FREE))

@@ -1,10 +1,23 @@
+import dataclasses
+import math
+import random
+
 import pytest
 
-from galimech.chart import Event, Frame, ORIGIN, REST_FRAME, SpatialCovector
+from galimech import affine_values, homogeneous, verify
+from galimech.chart import (
+    Event,
+    Frame,
+    FourCovector,
+    ORIGIN,
+    REST_FRAME,
+    SpatialCovector,
+)
 from galimech.frame_dynamics import State, integrate
 from galimech.potentials import ZeroPotential
 from galimech.verify import (
     CHECKS,
+    Check,
     CheckResult,
     canonical_discrepancy,
     canonical_energy_drift,
@@ -92,6 +105,41 @@ def test_gate_is_inclusive():
     assert CheckResult("x", 1, 1e-12, 1e-12).passed
     assert CheckResult("x", 1, 0.0, 0.0).passed
     assert not CheckResult("x", 1, 2e-12, 1e-12).passed
+
+
+def test_runner_sums_verdicts_and_takes_the_worst_error(monkeypatch):
+    seen = []
+
+    def numeric(rng, i):
+        seen.append((i, rng.random()))
+        return (0.5, 3.0, 1.0)[i]
+
+    def verdict(rng, i):
+        return (1.0, 2.0, 0.0)[i]
+
+    monkeypatch.setattr(verify, "CHECKS", (Check("numeric", 5.0, numeric),
+                                           Check("verdict", 0.0, verdict)))
+    results = run_checks(trials=3, seed=5)
+    assert [(r.name, r.max_error) for r in results] == [("numeric", 3.0),
+                                                        ("verdict", 3.0)]
+    assert seen == [(i, random.Random(5 + i).random()) for i in range(3)]
+
+
+def test_nan_errors_fail_their_suite(monkeypatch):
+    # A NaN anywhere in a trial, or in any trial, must reach the report:
+    # the builtin max keeps its running value when compared with NaN.
+    nan = FourCovector(math.nan, math.nan, math.nan, math.nan)
+    monkeypatch.setattr(affine_values, "frame_shift", lambda u1, u2: nan)
+    lift = homogeneous._legendre
+    monkeypatch.setattr(homogeneous, "_legendre", lambda *args: dataclasses.replace(
+        lift(*args), pt=math.nan))
+    names = ["legendre-degree-zero", "frame-shift-antisymmetry",
+             "frame-shift-cocycle", "value-class-invariance",
+             "momentum-class-invariance"]
+    results = run_checks(trials=50, seed=42, names=names)
+    assert [r.name for r in results] == names
+    for result in results:
+        assert math.isnan(result.max_error) and not result.passed, result
 
 
 def test_initial_momentum_oracle():
