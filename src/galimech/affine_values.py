@@ -138,7 +138,7 @@ def fiber_difference(a: LagrangianValue, b: LagrangianValue) -> float:
     """
     _require_same_mass(a.mass, b.mass)
     d = a.velocity - b.velocity
-    if max(abs(d.dt), abs(d.dx), abs(d.dy), abs(d.dz)) > _FIBER_TOL:
+    if not all(abs(c) <= _FIBER_TOL for c in d.components()):
         raise ValueError("values lie over different velocities")
     return b.value - a.value
 
@@ -233,14 +233,14 @@ def is_universal_member(potential: Potential, x: Event,
     direction for both slots.
     """
     r = pair(TIME_FORM, xdot)
-    if r <= 0.0:
+    if not r > 0.0:
         return False
-    if abs(shell_function(momentum) + potential.value(x)) > tol:
+    if not abs(shell_function(momentum) + potential.value(x)) <= tol:
         return False
     want_xdot = (cometric(momentum.p) * (1.0 / momentum.mass) + REST_FRAME) * r
     d = xdot - want_xdot
-    if max(abs(d.dt), abs(d.dx), abs(d.dy), abs(d.dz)) > tol:
+    if not all(abs(c) <= tol for c in d.components()):
         return False
     want_pdot = potential.differential(x) * (-r)
     e = pdot - want_pdot
-    return max(abs(e.pt), abs(e.px), abs(e.py), abs(e.pz)) <= tol
+    return all(abs(c) <= tol for c in e.components())

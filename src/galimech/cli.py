@@ -12,43 +12,40 @@ input, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import itertools
+import math
 import sys
+from collections.abc import Iterable, Iterator
 
 from .affine_values import affine_momentum, shell_function
-from .chart import Frame, SpatialCovector, SpatialVector, embed, metric, metric_inv
+from .chart import Frame, SpatialCovector, SpatialVector, embed, metric
 from .config import ConfigError, RunConfig, load_config
-from .frame_dynamics import IntegrationDiverged, Sample, State, integrate
+from .frame_dynamics import Sample, State, integrate
 from .homogeneous import legendre, mass_shell_residual
-from .potentials import Potential
 from .verify import max_event_gap, render_report, run_checks
 
 __all__ = ["main"]
 
-_CSV_HEADER = "step,t,x,y,z,px,py,pz,energy,shell_residual"
+_CSV_HEADER = "step,t,x,y,z,px,py,pz,energy"
 
 
 def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _csv_section(u: Frame, mass: float, potential: Potential,
-                 samples: list[Sample]) -> list[str]:
-    lines = [_CSV_HEADER]
-    inv_mass = 1.0 / mass
+def _csv_section(samples: Iterable[Sample]) -> Iterator[str]:
+    yield _CSV_HEADER
     for step, sample in enumerate(samples):
         x, p = sample.state.x, sample.state.p
-        v = embed(metric_inv(p * inv_mass)) + u
-        lift = legendre(u, mass, potential, x, v)
-        residual = mass_shell_residual(u, mass, potential, x, lift)
-        lines.append(",".join((
+        yield ",".join((
             str(step), _fmt(sample.t), _fmt(x.x), _fmt(x.y), _fmt(x.z),
-            _fmt(p.x), _fmt(p.y), _fmt(p.z), _fmt(sample.energy), _fmt(residual))))
-    return lines
+            _fmt(p.x), _fmt(p.y), _fmt(p.z), _fmt(sample.energy)))
 
 
-def _write_lines(path: str, lines: list[str]):
+def _write_lines(path: str, lines: Iterable[str]):
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+        for line in lines:
+            handle.write(line + "\n")
 
 
 def _run(cfg: RunConfig, u: Frame, p0: SpatialCovector) -> list[Sample]:
@@ -59,7 +56,7 @@ def _run(cfg: RunConfig, u: Frame, p0: SpatialCovector) -> list[Sample]:
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     samples = _run(cfg, cfg.frame, cfg.p0)
-    _write_lines(args.out, _csv_section(cfg.frame, cfg.mass, cfg.potential, samples))
+    _write_lines(args.out, _csv_section(samples))
     return 0
 
 
@@ -86,12 +83,9 @@ def _cmd_boost(args) -> int:
     second = _run(cfg, u2, p2)
     discrepancy = max_event_gap(first, second)
 
-    lines = _csv_section(u1, cfg.mass, cfg.potential, first)
-    lines.append("")
-    lines.extend(_csv_section(u2, cfg.mass, cfg.potential, second))
-    lines.append("")
-    lines.append(f"max_event_discrepancy={_fmt(discrepancy)}")
-    _write_lines(args.out, lines)
+    _write_lines(args.out, itertools.chain(
+        _csv_section(first), [""], _csv_section(second),
+        ["", f"max_event_discrepancy={_fmt(discrepancy)}"]))
     if discrepancy <= cfg.tol:
         return 0
     print(f"error: event discrepancy {discrepancy:.3e} exceeds tol {cfg.tol:.3e}",
@@ -110,11 +104,17 @@ def _cmd_legendre(args) -> int:
     cfg = load_config(args.config)
     if cfg.v0 is None:
         raise ConfigError("v0: required for legendre")
+    phi = cfg.potential.value(cfg.x0)
+    if not math.isfinite(phi):
+        raise OverflowError(f"legendre: potential value at x0 is {phi}")
     v = embed(cfg.v0) + cfg.frame
     p = legendre(cfg.frame, cfg.mass, cfg.potential, cfg.x0, v)
     momentum = affine_momentum(cfg.mass, cfg.frame, p)
     residual = mass_shell_residual(cfg.frame, cfg.mass, cfg.potential, cfg.x0, p)
-    defect = shell_function(momentum) + cfg.potential.value(cfg.x0)
+    defect = shell_function(momentum) + phi
+    if not all(map(math.isfinite, (*p.components(), *momentum.p.components(),
+                                   residual, defect))):
+        raise OverflowError("legendre: result left finite range")
     print("momentum = " + ",".join(_fmt(c) for c in p.components()))
     print("class_momentum = " + ",".join(_fmt(c) for c in momentum.p.components()))
     print("shell_residual = " + _fmt(residual))
@@ -173,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except IntegrationDiverged as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

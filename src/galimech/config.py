@@ -8,6 +8,7 @@ typo cannot silently change a run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .chart import Event, Frame, SpatialCovector, SpatialVector, metric
@@ -56,17 +57,17 @@ def _floats(key: str, raw: str, n: int) -> tuple[float, ...]:
     parts = raw.replace(",", " ").split()
     if len(parts) != n:
         raise ConfigError(f"{key}: expected {n} numbers, got {len(parts)}")
-    try:
-        return tuple(float(part) for part in parts)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+    return tuple(_float(key, part) for part in parts)
 
 
 def _float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {raw}")
+    return value
 
 
 def _int(key: str, raw: str) -> int:

@@ -178,15 +178,15 @@ def is_dynamics_member(u: Frame, mass: float, potential: Potential,
     """
     _require_mass(mass)
     s = pair(TIME_FORM, velocity.xdot)
-    if s <= TIME_RATE_FLOOR:
+    if not s > TIME_RATE_FLOOR:
         return False
     want_p = _legendre(u, mass, potential, point.x, velocity.xdot, s)
     d = point.p - want_p
-    if max(abs(d.pt), abs(d.px), abs(d.py), abs(d.pz)) > tol:
+    if not all(abs(c) <= tol for c in d.components()):
         return False
     want_pdot = potential.differential(point.x) * (-s)
     d = velocity.pdot - want_pdot
-    return max(abs(d.pt), abs(d.px), abs(d.py), abs(d.pz)) <= tol
+    return all(abs(c) <= tol for c in d.components())
 
 
 def generating_family(u: Frame, mass: float, potential: Potential, x: Event,

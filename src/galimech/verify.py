@@ -550,7 +550,7 @@ def _check_morse_off_shell(rng: random.Random, i: int) -> float:
     mass, phi, x = _mass(rng), _potential(rng), _event(rng)
     v = _four_velocity(rng)
     momentum = av.affine_momentum(mass, _frame(rng), _four_covector(rng))
-    return float(_morse_gradient(phi, x, momentum, v) < 1e-2)
+    return float(not _morse_gradient(phi, x, momentum, v) >= 1e-2)
 
 
 def _check_universal_vs_frame(rng: random.Random, i: int) -> float:

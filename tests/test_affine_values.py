@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -129,6 +132,14 @@ def test_fiber_difference_guards():
         a + c
 
 
+@pytest.mark.parametrize("slot", ["dt", "dx", "dy", "dz"])
+def test_fiber_difference_rejects_a_nan_velocity(slot):
+    a = LagrangianValue(1.0, FourVector(1.0, 0.0, 0.0, 0.0), 0.5)
+    b = LagrangianValue(1.0, dataclasses.replace(a.velocity, **{slot: math.nan}), 0.25)
+    with pytest.raises(ValueError):
+        fiber_difference(a, b)
+
+
 def test_value_requires_positive_mass():
     with pytest.raises(ValueError):
         LagrangianValue(0.0, FourVector(0.0, 0.0, 0.0, 0.0), 0.0)
@@ -247,3 +258,19 @@ def test_universal_member_rejects_corruptions():
     assert not is_universal_member(phi, x, momentum, xdot, wrong_force)
     stalled = FourVector(0.0, xdot.dx, xdot.dy, xdot.dz)
     assert not is_universal_member(phi, x, momentum, stalled, pdot)
+
+
+@pytest.mark.parametrize("slot", ["pt", "px", "py", "pz"])
+def test_universal_member_rejects_nan_slots(slot):
+    phi = HarmonicPotential(1.0, ORIGIN)
+    x = Event(0.0, 1.0, 0.0, 0.0)
+    momentum = frame_free_legendre(1.0, phi, x, FourVector(1.0, 0.3, 0.0, 0.0))
+    xdot = cometric(momentum.p) + REST_FRAME
+    pdot = phi.differential(x) * (-1.0)
+    assert is_universal_member(phi, x, momentum, xdot, pdot)
+    nan_pdot = dataclasses.replace(pdot, **{slot: math.nan})
+    assert not is_universal_member(phi, x, momentum, xdot, nan_pdot)
+    nan_p = AffineMomentum(1.0, dataclasses.replace(momentum.p, **{slot: math.nan}))
+    assert not is_universal_member(phi, x, nan_p, xdot, pdot)
+    nan_xdot = dataclasses.replace(xdot, **{"d" + slot[1]: math.nan})
+    assert not is_universal_member(phi, x, momentum, nan_xdot, pdot)

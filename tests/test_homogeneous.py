@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -152,6 +155,21 @@ def test_member_rejects_wrong_force():
     off = PhaseVelocity(vel.xdot, vel.pdot + FourCovector(0.0, 0.1, 0.0, 0.0))
     assert not is_dynamics_member(REST_FRAME, 1.0, phi, PhasePoint(x, p), off)
 
+
+
+@pytest.mark.parametrize("slot", ["pt", "px", "py", "pz"])
+def test_member_rejects_nan_slots(slot):
+    # The builtin max drops a NaN that is not its first argument, so each
+    # slot is corrupted on its own.
+    u, phi = REST_FRAME, ZeroPotential()
+    p = legendre(u, 1.0, phi, ORIGIN, FourVector(1.0, 0.5, 0.0, 0.0))
+    vel = characteristic_field(u, 1.0, phi, ORIGIN, p, 1.0)
+    bad_p = PhasePoint(ORIGIN, dataclasses.replace(p, **{slot: math.nan}))
+    assert not is_dynamics_member(u, 1.0, phi, bad_p, vel)
+    bad_pdot = PhaseVelocity(vel.xdot, dataclasses.replace(vel.pdot, **{slot: math.nan}))
+    assert not is_dynamics_member(u, 1.0, phi, PhasePoint(ORIGIN, p), bad_pdot)
+    stalled = PhaseVelocity(dataclasses.replace(vel.xdot, dt=math.nan), vel.pdot)
+    assert not is_dynamics_member(u, 1.0, phi, PhasePoint(ORIGIN, p), stalled)
 
 @given(frames, masses, potentials, events, four_velocities)
 def test_generating_family_vanishes_on_legendre_points(u, mass, phi, x, v):

@@ -142,6 +142,12 @@ def test_nan_errors_fail_their_suite(monkeypatch):
         assert math.isnan(result.max_error) and not result.passed, result
 
 
+def test_nan_gradient_is_not_an_off_shell_detection(monkeypatch):
+    monkeypatch.setattr(verify, "_morse_gradient", lambda *args: math.nan)
+    (result,) = run_checks(trials=3, seed=42, names=["morse-off-shell-detection"])
+    assert result.max_error == 3.0 and not result.passed
+
+
 def test_initial_momentum_oracle():
     u = Frame(1.0, 0.5, 0.0, 0.0)
     p = initial_momentum(u, 2.0, Frame(1.0, 0.8, 0.0, 0.0))
