@@ -172,7 +172,8 @@ class Frame(FourVector):
     """
 
     def __post_init__(self):
-        if abs(self.dt - 1.0) > _FRAME_TOL:
+        # Negated so that a NaN time component fails too.
+        if not abs(self.dt - 1.0) <= _FRAME_TOL:
             raise ValueError(f"frame time component must be 1, got {self.dt!r}")
 
     @classmethod

@@ -5,6 +5,16 @@ the equations only through the drift of the position.  Trajectories are
 produced by classical fixed-step RK4, which is exact on free motion and
 keeps bound-orbit energy drift far below the verification tolerances at
 desk scale.
+
+The typed values are the interface; ``integrate`` runs on plain floats.
+Its kernel keeps the state in seven locals and evaluates
+``dynamics_field`` and the RK4 combination in their exact operation
+order, so its trajectories are bit-identical to stepping the value
+objects, while each step builds only the returned sample.  The potential
+is asked through its float methods ``gradient_at(t, x, y, z)`` and
+``value_at(t, x, y, z)``; a custom ``Potential`` subclass needs only
+``value`` and ``differential``, because the base class answers those
+float methods from them, and runs through the same kernel.
 """
 
 from __future__ import annotations
@@ -16,10 +26,8 @@ from typing import NamedTuple
 from .chart import (
     Event,
     Frame,
-    FourVector,
     SpatialCovector,
     SpatialVector,
-    embed,
     metric,
     metric_inv,
     pair_spatial,
@@ -148,46 +156,67 @@ def generate_from_lagrangian(u: Frame, mass: float, potential: Potential,
     return state, Tangent(w, -potential.spatial_gradient(x))
 
 
-def _stepped(state: State, xdot: FourVector, pdot: SpatialCovector,
-             h: float) -> State:
-    return State(state.x + xdot * h, state.p + pdot * h)
-
-
-def _rk4_step(u: Frame, mass: float, potential: Potential, state: State,
-              h: float) -> State:
-    k1 = dynamics_field(u, mass, potential, state)
-    k2 = dynamics_field(u, mass, potential,
-                        _stepped(state, k1.xdot, k1.pdot, 0.5 * h))
-    k3 = dynamics_field(u, mass, potential,
-                        _stepped(state, k2.xdot, k2.pdot, 0.5 * h))
-    k4 = dynamics_field(u, mass, potential,
-                        _stepped(state, k3.xdot, k3.pdot, h))
-    xdot = (k1.xdot + 2.0 * k2.xdot + 2.0 * k3.xdot + k4.xdot) * (1.0 / 6.0)
-    pdot = (k1.pdot + 2.0 * k2.pdot + 2.0 * k3.pdot + k4.pdot) * (1.0 / 6.0)
-    return _stepped(state, xdot, pdot, h)
-
-
 def integrate(u: Frame, mass: float, potential: Potential, initial: State,
               dt: float, steps: int) -> list[Sample]:
     """Fixed-step RK4 trajectory, one sample per step plus the initial one.
 
     Raises IntegrationDiverged as soon as any state component leaves the
-    finite floats.
+    finite floats, or the energy does.
     """
     _require_mass(mass)
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
+    if not isinstance(steps, int):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps!r}")
 
-    state = initial
-    samples = [Sample(state.x.t, state, hamiltonian(mass, potential, state.x, state.p))]
+    # The kernel: ``dynamics_field`` and the RK4 combination on plain
+    # floats, in exactly their operation order, so every bit matches the
+    # value-object form.  The time slot of every rate is the frame's 1.
+    grad, value = potential.gradient_at, potential.value_at
+    inv_mass = 1.0 / mass
+    ux, uy, uz = u.dx, u.dy, u.dz
+    h, hh, sixth = dt, 0.5 * dt, 1.0 / 6.0
+    ht = h * (sixth * 6.0)
+    t, x, y, z = initial.x.t, initial.x.x, initial.x.y, initial.x.z
+    px, py, pz = initial.p.x, initial.p.y, initial.p.z
+
+    samples = [Sample(t, initial, hamiltonian(mass, potential, initial.x, initial.p))]
     for step in range(1, steps + 1):
-        state = _rk4_step(u, mass, potential, state, dt)
-        if not (state.x.is_finite() and state.p.is_finite()):
+        ax1, ay1, az1 = px * inv_mass + ux, py * inv_mass + uy, pz * inv_mass + uz
+        gx, gy, gz = grad(t, x, y, z)
+        fx1, fy1, fz1 = -gx, -gy, -gz
+
+        t2 = t + hh
+        qx, qy, qz = px + hh * fx1, py + hh * fy1, pz + hh * fz1
+        ax2, ay2, az2 = qx * inv_mass + ux, qy * inv_mass + uy, qz * inv_mass + uz
+        gx, gy, gz = grad(t2, x + hh * ax1, y + hh * ay1, z + hh * az1)
+        fx2, fy2, fz2 = -gx, -gy, -gz
+
+        qx, qy, qz = px + hh * fx2, py + hh * fy2, pz + hh * fz2
+        ax3, ay3, az3 = qx * inv_mass + ux, qy * inv_mass + uy, qz * inv_mass + uz
+        gx, gy, gz = grad(t2, x + hh * ax2, y + hh * ay2, z + hh * az2)
+        fx3, fy3, fz3 = -gx, -gy, -gz
+
+        qx, qy, qz = px + h * fx3, py + h * fy3, pz + h * fz3
+        ax4, ay4, az4 = qx * inv_mass + ux, qy * inv_mass + uy, qz * inv_mass + uz
+        gx, gy, gz = grad(t + h, x + h * ax3, y + h * ay3, z + h * az3)
+        fx4, fy4, fz4 = -gx, -gy, -gz
+
+        t += ht
+        x += h * (sixth * (((ax1 + 2.0 * ax2) + 2.0 * ax3) + ax4))
+        y += h * (sixth * (((ay1 + 2.0 * ay2) + 2.0 * ay3) + ay4))
+        z += h * (sixth * (((az1 + 2.0 * az2) + 2.0 * az3) + az4))
+        px += h * (sixth * (((fx1 + 2.0 * fx2) + 2.0 * fx3) + fx4))
+        py += h * (sixth * (((fy1 + 2.0 * fy2) + 2.0 * fy3) + fy4))
+        pz += h * (sixth * (((fz1 + 2.0 * fz2) + 2.0 * fz3) + fz4))
+
+        if not all(map(math.isfinite, (t, x, y, z, px, py, pz))):
             raise IntegrationDiverged(f"state left finite range at step {step}")
-        energy = hamiltonian(mass, potential, state.x, state.p)
+        energy = 0.5 * (px * px + py * py + pz * pz) / mass + value(t, x, y, z)
         if not math.isfinite(energy):
             raise IntegrationDiverged(f"energy left finite range at step {step}")
-        samples.append(Sample(state.x.t, state, energy))
+        samples.append(Sample(t, State(Event(t, x, y, z),
+                                       SpatialCovector(px, py, pz)), energy))
     return samples

@@ -44,6 +44,12 @@ def test_frame_requires_unit_time_component():
         Frame(0.0, 1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+def test_frame_rejects_non_finite_time_component(dt):
+    with pytest.raises(ValueError):
+        Frame(dt, 0.0, 0.0, 0.0)
+
+
 def test_frame_boost_round_trip():
     b = SpatialVector(0.7, -1.2, 0.4)
     assert Frame.from_boost(b).boost() == b

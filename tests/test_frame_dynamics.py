@@ -191,3 +191,10 @@ def test_integrate_validates_arguments():
         integrate(REST_FRAME, 1.0, ZeroPotential(), state, 1e-3, 0)
     with pytest.raises(ValueError):
         integrate(REST_FRAME, 0.0, ZeroPotential(), state, 1e-3, 1)
+
+
+@pytest.mark.parametrize("steps", [2.5, 2.0, "3"])
+def test_integrate_rejects_non_integer_steps(steps):
+    state = State(ORIGIN, SpatialCovector(0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        integrate(REST_FRAME, 1.0, ZeroPotential(), state, 1e-3, steps)

@@ -1,8 +1,15 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from galimech.chart import Event, FourCovector, ORIGIN, SpatialCovector, restrict
-from galimech.potentials import HarmonicPotential, UniformPotential, ZeroPotential
+from galimech.potentials import (
+    HarmonicPotential,
+    Potential,
+    UniformPotential,
+    ZeroPotential,
+)
 
 scalars = st.floats(-2, 2)
 events = st.builds(Event, scalars, scalars, scalars, scalars)
@@ -12,6 +19,29 @@ potentials = st.one_of(
               st.builds(FourCovector, scalars, scalars, scalars, scalars)),
     st.builds(HarmonicPotential, st.floats(0.2, 2), events),
 )
+
+
+class Saddle(Potential):
+    """A potential that defines only value and differential."""
+
+    kind = "saddle"
+
+    def value(self, x):
+        return x.t * (x.x * x.x - x.y * x.y) + x.z
+
+    def differential(self, x):
+        return FourCovector(x.x * x.x - x.y * x.y, 2.0 * x.t * x.x,
+                            -2.0 * x.t * x.y, 1.0)
+
+
+class DoubledSpring(HarmonicPotential):
+    """Redefines the object methods of a built-in kind, not the float ones."""
+
+    def value(self, x):
+        return 2.0 * super().value(x)
+
+    def differential(self, x):
+        return super().differential(x) * 2.0
 
 
 def test_zero_potential():
@@ -46,6 +76,12 @@ def test_harmonic_rejects_nonpositive_stiffness():
         HarmonicPotential(0.0)
     with pytest.raises(ValueError):
         HarmonicPotential(-1.0)
+
+
+@pytest.mark.parametrize("stiffness", [math.inf, math.nan])
+def test_harmonic_rejects_non_finite_stiffness(stiffness):
+    with pytest.raises(ValueError):
+        HarmonicPotential(stiffness)
 
 
 @given(events, st.floats(-5, 5))
@@ -83,3 +119,13 @@ def test_gradient_matches_finite_differences():
         minus = Event(x.t - step[0], x.x - step[1], x.y - step[2], x.z - step[3])
         fdiff = (phi.value(plus) - phi.value(minus)) / (2 * h)
         assert fdiff == pytest.approx(d.components()[slot], abs=1e-8), direction
+
+
+@given(st.one_of(potentials, st.just(Saddle()), st.just(DoubledSpring(1.5))),
+       st.builds(Event, *[st.one_of(scalars, st.sampled_from((-0.0, math.nan)))] * 4))
+def test_float_methods_match_object_methods(phi, x):
+    """``value_at``/``gradient_at`` give the bits of ``value``/``spatial_gradient``."""
+    g = phi.spatial_gradient(x)
+    assert repr(phi.value_at(*x.components())) == repr(phi.value(x))
+    assert list(map(repr, phi.gradient_at(*x.components()))) \
+        == list(map(repr, g.components()))
