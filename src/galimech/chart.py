@@ -14,7 +14,6 @@ frame bookkeeping honest.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -71,9 +70,6 @@ class FourVector:
     def components(self) -> tuple[float, float, float, float]:
         return (self.dt, self.dx, self.dy, self.dz)
 
-    def is_finite(self) -> bool:
-        return all(map(math.isfinite, self.components()))
-
 
 @dataclass(frozen=True, slots=True)
 class FourCovector:
@@ -102,9 +98,6 @@ class FourCovector:
 
     def components(self) -> tuple[float, float, float, float]:
         return (self.pt, self.px, self.py, self.pz)
-
-    def is_finite(self) -> bool:
-        return all(map(math.isfinite, self.components()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,9 +151,6 @@ class SpatialCovector:
     def components(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
-    def is_finite(self) -> bool:
-        return all(map(math.isfinite, self.components()))
-
 
 @dataclass(frozen=True, slots=True)
 class Frame(FourVector):
@@ -206,9 +196,6 @@ class Event:
 
     def components(self) -> tuple[float, float, float, float]:
         return (self.t, self.x, self.y, self.z)
-
-    def is_finite(self) -> bool:
-        return all(map(math.isfinite, self.components()))
 
 
 TIME_FORM = FourCovector(1.0, 0.0, 0.0, 0.0)

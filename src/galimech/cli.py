@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator
 
 from .affine_values import affine_momentum, shell_function
 from .chart import Frame, SpatialCovector, SpatialVector, embed, metric
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, _floats, load_config
 from .frame_dynamics import Sample, State, integrate
 from .homogeneous import legendre, mass_shell_residual
 from .verify import max_event_gap, render_report, run_checks
@@ -60,19 +60,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_boost(raw: str) -> SpatialVector:
-    parts = raw.replace(",", " ").split()
-    if len(parts) != 3:
-        raise ConfigError(f"boost: expected 3 numbers, got {len(parts)}")
-    try:
-        return SpatialVector(*(float(part) for part in parts))
-    except ValueError as exc:
-        raise ConfigError(f"boost: {exc}") from None
-
-
 def _cmd_boost(args) -> int:
     cfg = load_config(args.config)
-    boost = _parse_boost(args.boost)
+    boost = SpatialVector(*_floats("boost", args.boost, 3))
     u1 = cfg.frame
     u2 = Frame.from_boost(u1.boost() + boost)
     # Same physical initial condition seen from the boosted frame.

@@ -11,7 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chart import Event, Frame, SpatialCovector, SpatialVector, metric
+from .chart import (
+    ORIGIN,
+    REST_FRAME,
+    Event,
+    FourCovector,
+    Frame,
+    SpatialCovector,
+    SpatialVector,
+    metric,
+)
 from .potentials import HarmonicPotential, Potential, UniformPotential, ZeroPotential
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
@@ -97,7 +106,6 @@ def _build_potential(entries: dict[str, str]) -> Potential:
     if kind == "uniform":
         if "potential.k" not in entries:
             raise ConfigError("potential.k: required for potential.kind=uniform")
-        from .chart import FourCovector
         return UniformPotential(FourCovector(*_floats("potential.k",
                                                       entries["potential.k"], 4)))
     if "potential.kappa" not in entries:
@@ -106,7 +114,7 @@ def _build_potential(entries: dict[str, str]) -> Potential:
     if not kappa > 0:
         raise ConfigError(f"potential.kappa: must be positive, got {kappa}")
     center = Event(*_floats("potential.center", entries["potential.center"], 4)) \
-        if "potential.center" in entries else Event(0.0, 0.0, 0.0, 0.0)
+        if "potential.center" in entries else ORIGIN
     return HarmonicPotential(kappa, center)
 
 
@@ -143,7 +151,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"tol: must be positive, got {tol}")
 
     frame = Frame.from_boost(SpatialVector(*_floats("frame", entries["frame"], 3))) \
-        if "frame" in entries else Frame(1.0, 0.0, 0.0, 0.0)
+        if "frame" in entries else REST_FRAME
     x0 = Event(*_floats("x0", entries["x0"], 4))
 
     if "p0" in entries:

@@ -11,10 +11,9 @@ Its kernel keeps the state in seven locals and evaluates
 ``dynamics_field`` and the RK4 combination in their exact operation
 order, so its trajectories are bit-identical to stepping the value
 objects, while each step builds only the returned sample.  The potential
-is asked through its float methods ``gradient_at(t, x, y, z)`` and
-``value_at(t, x, y, z)``; a custom ``Potential`` subclass needs only
-``value`` and ``differential``, because the base class answers those
-float methods from them, and runs through the same kernel.
+is asked on chart coordinates, through ``differential_at(t, x, y, z)``
+and ``value_at(t, x, y, z)``: the two methods every ``Potential``
+defines, so custom kinds run through the same kernel.
 """
 
 from __future__ import annotations
@@ -174,7 +173,7 @@ def integrate(u: Frame, mass: float, potential: Potential, initial: State,
     # The kernel: ``dynamics_field`` and the RK4 combination on plain
     # floats, in exactly their operation order, so every bit matches the
     # value-object form.  The time slot of every rate is the frame's 1.
-    grad, value = potential.gradient_at, potential.value_at
+    dphi, value = potential.differential_at, potential.value_at
     inv_mass = 1.0 / mass
     ux, uy, uz = u.dx, u.dy, u.dz
     h, hh, sixth = dt, 0.5 * dt, 1.0 / 6.0
@@ -185,23 +184,23 @@ def integrate(u: Frame, mass: float, potential: Potential, initial: State,
     samples = [Sample(t, initial, hamiltonian(mass, potential, initial.x, initial.p))]
     for step in range(1, steps + 1):
         ax1, ay1, az1 = px * inv_mass + ux, py * inv_mass + uy, pz * inv_mass + uz
-        gx, gy, gz = grad(t, x, y, z)
+        _, gx, gy, gz = dphi(t, x, y, z)
         fx1, fy1, fz1 = -gx, -gy, -gz
 
         t2 = t + hh
         qx, qy, qz = px + hh * fx1, py + hh * fy1, pz + hh * fz1
         ax2, ay2, az2 = qx * inv_mass + ux, qy * inv_mass + uy, qz * inv_mass + uz
-        gx, gy, gz = grad(t2, x + hh * ax1, y + hh * ay1, z + hh * az1)
+        _, gx, gy, gz = dphi(t2, x + hh * ax1, y + hh * ay1, z + hh * az1)
         fx2, fy2, fz2 = -gx, -gy, -gz
 
         qx, qy, qz = px + hh * fx2, py + hh * fy2, pz + hh * fz2
         ax3, ay3, az3 = qx * inv_mass + ux, qy * inv_mass + uy, qz * inv_mass + uz
-        gx, gy, gz = grad(t2, x + hh * ax2, y + hh * ay2, z + hh * az2)
+        _, gx, gy, gz = dphi(t2, x + hh * ax2, y + hh * ay2, z + hh * az2)
         fx3, fy3, fz3 = -gx, -gy, -gz
 
         qx, qy, qz = px + h * fx3, py + h * fy3, pz + h * fz3
         ax4, ay4, az4 = qx * inv_mass + ux, qy * inv_mass + uy, qz * inv_mass + uz
-        gx, gy, gz = grad(t + h, x + h * ax3, y + h * ay3, z + h * az3)
+        _, gx, gy, gz = dphi(t + h, x + h * ax3, y + h * ay3, z + h * az3)
         fx4, fy4, fz4 = -gx, -gy, -gz
 
         t += ht

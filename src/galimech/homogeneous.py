@@ -41,7 +41,8 @@ __all__ = [
 ]
 
 # Forward-time cone guard: evaluation maps divide by the time rate and
-# must stay away from its zero boundary.
+# must stay away from its zero boundary.  The guards are negated
+# comparisons, so a NaN rate fails them too.
 TIME_RATE_FLOOR = 1e-12
 
 
@@ -68,9 +69,14 @@ def _require_mass(mass: float):
 
 def _time_rate(v: FourVector) -> float:
     s = pair(TIME_FORM, v)
-    if s <= TIME_RATE_FLOOR:
+    if not s > TIME_RATE_FLOOR:
         raise ValueError(f"four-velocity must be future-directed, time rate {s!r}")
     return s
+
+
+def _require_time_rate(time_rate: float):
+    if not time_rate > TIME_RATE_FLOOR:
+        raise ValueError(f"time rate must be positive, got {time_rate!r}")
 
 
 def homogeneous_lagrangian(u: Frame, mass: float, potential: Potential,
@@ -145,8 +151,7 @@ def critical_velocity(u: Frame, mass: float, p: FourCovector,
     the mass shell, not by the velocity.
     """
     _require_mass(mass)
-    if time_rate <= TIME_RATE_FLOOR:
-        raise ValueError(f"time rate must be positive, got {time_rate!r}")
+    _require_time_rate(time_rate)
     a = time_rate / mass
     return FourVector(time_rate,
                       a * p.px + time_rate * u.dx,
@@ -202,8 +207,7 @@ def reduced_family(u: Frame, mass: float, potential: Potential, x: Event,
     Eliminating the spatial fiber directions of the generating family at
     their critical point leaves this one-parameter family.
     """
-    if time_rate <= TIME_RATE_FLOOR:
-        raise ValueError(f"time rate must be positive, got {time_rate!r}")
+    _require_time_rate(time_rate)
     return time_rate * mass_shell_residual(u, mass, potential, x, p)
 
 

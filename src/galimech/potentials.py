@@ -5,15 +5,12 @@ its restriction to a simultaneity slice depends on who is watching.
 Each kind carries its exact differential so the dynamics never has to
 fall back on finite differences.
 
-Every potential also answers on plain chart coordinates:
-``value_at(t, x, y, z)`` and ``gradient_at(t, x, y, z)``, the spatial
-part of the differential as a float triple.  The integrator's hot loop
-calls only these.  The built-in kinds implement them directly and their
-``value``/``differential`` call their own class's float methods (by
-class, not through ``self``), so each formula is written once.  The
-object methods stay the definition: a subclass that defines only
-``value`` and ``differential``, or redefines them on a built-in kind,
-gets float defaults that build the ``Event`` and ask those.
+A kind is defined once, on chart coordinates: ``value_at(t, x, y, z)``
+and ``differential_at(t, x, y, z) -> (dt, dx, dy, dz)``.  The
+integrator's hot loop calls only these.  ``Potential`` derives the typed
+``value``, ``differential`` and ``spatial_gradient`` from them; a
+subclass that redefines one of those is a ``TypeError``, so a force can
+never split from its value.
 """
 
 from __future__ import annotations
@@ -22,13 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .chart import (
-    ORIGIN,
-    Event,
-    FourCovector,
-    SpatialCovector,
-    restrict,
-)
+from .chart import ORIGIN, Event, FourCovector, SpatialCovector
 
 __all__ = ["Potential", "ZeroPotential", "UniformPotential", "HarmonicPotential"]
 
@@ -39,35 +30,33 @@ class Potential:
     kind: ClassVar[str]
 
     def __init_subclass__(cls, **kwargs):
-        # A subclass that redefines an object method but not its float
-        # counterpart must not inherit a float method written for its
-        # parent's formula: it falls back to the defaults below.
         super().__init_subclass__(**kwargs)
-        if "value" in vars(cls) and "value_at" not in vars(cls):
-            cls.value_at = Potential.value_at
-        if ({"differential", "spatial_gradient"} & vars(cls).keys()
-                and "gradient_at" not in vars(cls)):
-            cls.gradient_at = Potential.gradient_at
+        redefined = sorted(vars(cls).keys()
+                           & {"value", "differential", "spatial_gradient"})
+        if redefined:
+            raise TypeError(
+                f"{cls.__name__} redefines {', '.join(redefined)}: a potential "
+                "defines value_at and differential_at only")
+
+    def value_at(self, t: float, x: float, y: float, z: float) -> float:
+        """Value at the event with chart coordinates ``(t, x, y, z)``."""
+        raise NotImplementedError
+
+    def differential_at(self, t: float, x: float, y: float,
+                        z: float) -> tuple[float, float, float, float]:
+        """Differential components ``(dt, dx, dy, dz)`` at ``(t, x, y, z)``."""
+        raise NotImplementedError
 
     def value(self, x: Event) -> float:
-        raise NotImplementedError
+        return self.value_at(x.t, x.x, x.y, x.z)
 
     def differential(self, x: Event) -> FourCovector:
-        raise NotImplementedError
+        return FourCovector(*self.differential_at(x.t, x.x, x.y, x.z))
 
     def spatial_gradient(self, x: Event) -> SpatialCovector:
         """Force covector (up to sign): the differential on spatial directions."""
-        return restrict(self.differential(x))
-
-    def value_at(self, t: float, x: float, y: float, z: float) -> float:
-        """``value`` at the event with chart coordinates ``(t, x, y, z)``."""
-        return self.value(Event(t, x, y, z))
-
-    def gradient_at(self, t: float, x: float, y: float,
-                    z: float) -> tuple[float, float, float]:
-        """Components of ``spatial_gradient`` at the event ``(t, x, y, z)``."""
-        g = self.spatial_gradient(Event(t, x, y, z))
-        return g.x, g.y, g.z
+        _, gx, gy, gz = self.differential_at(x.t, x.x, x.y, x.z)
+        return SpatialCovector(gx, gy, gz)
 
 
 @dataclass(frozen=True)
@@ -76,17 +65,11 @@ class ZeroPotential(Potential):
 
     kind: ClassVar[str] = "zero"
 
-    def value(self, x: Event) -> float:
-        return 0.0
-
-    def differential(self, x: Event) -> FourCovector:
-        return FourCovector(0.0, 0.0, 0.0, 0.0)
-
     def value_at(self, t, x, y, z):
         return 0.0
 
-    def gradient_at(self, t, x, y, z):
-        return 0.0, 0.0, 0.0
+    def differential_at(self, t, x, y, z):
+        return 0.0, 0.0, 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -100,21 +83,15 @@ class UniformPotential(Potential):
     kind: ClassVar[str] = "uniform"
     slope: FourCovector
 
-    def value(self, x: Event) -> float:
-        return UniformPotential.value_at(self, x.t, x.x, x.y, x.z)
-
-    def differential(self, x: Event) -> FourCovector:
-        return self.slope
-
     def value_at(self, t, x, y, z):
         # The pairing with the displacement from ORIGIN, whose
         # coordinates are all zero.
         k = self.slope
         return k.pt * t + k.px * x + k.py * y + k.pz * z
 
-    def gradient_at(self, t, x, y, z):
+    def differential_at(self, t, x, y, z):
         k = self.slope
-        return k.px, k.py, k.pz
+        return k.pt, k.px, k.py, k.pz
 
 
 @dataclass(frozen=True)
@@ -142,18 +119,11 @@ class HarmonicPotential(Potential):
         drift = (t - c.t) * 0.0
         return x - c.x - drift, y - c.y - drift, z - c.z - drift
 
-    def value(self, x: Event) -> float:
-        return HarmonicPotential.value_at(self, x.t, x.x, x.y, x.z)
-
-    def differential(self, x: Event) -> FourCovector:
-        gx, gy, gz = HarmonicPotential.gradient_at(self, x.t, x.x, x.y, x.z)
-        return FourCovector(0.0, gx, gy, gz)
-
     def value_at(self, t, x, y, z):
         sx, sy, sz = self._offset(t, x, y, z)
         return 0.5 * self.stiffness * (sx * sx + sy * sy + sz * sz)
 
-    def gradient_at(self, t, x, y, z):
+    def differential_at(self, t, x, y, z):
         sx, sy, sz = self._offset(t, x, y, z)
         k = self.stiffness
-        return k * sx, k * sy, k * sz
+        return 0.0, k * sx, k * sy, k * sz

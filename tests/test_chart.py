@@ -149,12 +149,6 @@ def test_vector_arithmetic():
     assert (-p).pt == -1.0
 
 
-def test_is_finite():
-    assert FourVector(1.0, 2.0, 3.0, 4.0).is_finite()
-    assert not FourVector(math.inf, 0.0, 0.0, 0.0).is_finite()
-    assert not Event(math.nan, 0.0, 0.0, 0.0).is_finite()
-
-
 def test_frames_are_immutable():
     with pytest.raises(AttributeError):
         REST_FRAME.dx = 1.0

@@ -178,6 +178,14 @@ def test_boost_rejects_malformed_vector(tmp_path):
                  "--boost", "0.25,0", "--out", str(tmp_path / "x.txt")]) == 2
 
 
+@pytest.mark.parametrize("boost", ["nan,0,0", "0,inf,0"])
+def test_boost_rejects_non_finite_vector(tmp_path, capsys, boost):
+    assert main(["boost", "--config", write(tmp_path, FREE),
+                 "--boost=" + boost, "--out", str(tmp_path / "x.txt")]) == 2
+    assert capsys.readouterr().err.startswith("error: boost: must be finite")
+    assert not (tmp_path / "x.txt").exists()
+
+
 def test_legendre_worked_example(tmp_path, capsys):
     assert main(["legendre", "--config", write(tmp_path, LEGENDRE_BASE)]) == 0
     lines = capsys.readouterr().out.splitlines()

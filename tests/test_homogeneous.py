@@ -226,6 +226,26 @@ def test_zero_rate_boundary_is_guarded():
                        FourCovector(0.0, 0.0, 0.0, 0.0), 0.0)
 
 
+NAN_RATE = FourVector(math.nan, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: homogeneous_lagrangian(REST_FRAME, 1.0, ZeroPotential(), ORIGIN, NAN_RATE),
+     "four-velocity must be future-directed"),
+    (lambda: legendre(REST_FRAME, 1.0, ZeroPotential(), ORIGIN, NAN_RATE),
+     "four-velocity must be future-directed"),
+    (lambda: critical_velocity(REST_FRAME, 1.0, FourCovector(0.0, 1.0, 0.0, 0.0),
+                               math.nan),
+     "time rate must be positive"),
+    (lambda: reduced_family(REST_FRAME, 1.0, ZeroPotential(), ORIGIN,
+                            FourCovector(0.0, 0.0, 0.0, 0.0), math.nan),
+     "time rate must be positive"),
+], ids=["homogeneous_lagrangian", "legendre", "critical_velocity", "reduced_family"])
+def test_nan_time_rate_is_guarded(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_mass_is_validated():
     v = FourVector(1.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):

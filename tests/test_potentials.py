@@ -22,26 +22,15 @@ potentials = st.one_of(
 
 
 class Saddle(Potential):
-    """A potential that defines only value and differential."""
+    """A custom kind with a time slot, defined on chart coordinates."""
 
     kind = "saddle"
 
-    def value(self, x):
-        return x.t * (x.x * x.x - x.y * x.y) + x.z
+    def value_at(self, t, x, y, z):
+        return t * (x * x - y * y) + z
 
-    def differential(self, x):
-        return FourCovector(x.x * x.x - x.y * x.y, 2.0 * x.t * x.x,
-                            -2.0 * x.t * x.y, 1.0)
-
-
-class DoubledSpring(HarmonicPotential):
-    """Redefines the object methods of a built-in kind, not the float ones."""
-
-    def value(self, x):
-        return 2.0 * super().value(x)
-
-    def differential(self, x):
-        return super().differential(x) * 2.0
+    def differential_at(self, t, x, y, z):
+        return x * x - y * y, 2.0 * t * x, -2.0 * t * y, 1.0
 
 
 def test_zero_potential():
@@ -121,11 +110,22 @@ def test_gradient_matches_finite_differences():
         assert fdiff == pytest.approx(d.components()[slot], abs=1e-8), direction
 
 
-@given(st.one_of(potentials, st.just(Saddle()), st.just(DoubledSpring(1.5))),
+@given(st.one_of(potentials, st.just(Saddle())),
        st.builds(Event, *[st.one_of(scalars, st.sampled_from((-0.0, math.nan)))] * 4))
 def test_float_methods_match_object_methods(phi, x):
-    """``value_at``/``gradient_at`` give the bits of ``value``/``spatial_gradient``."""
-    g = phi.spatial_gradient(x)
-    assert repr(phi.value_at(*x.components())) == repr(phi.value(x))
-    assert list(map(repr, phi.gradient_at(*x.components()))) \
-        == list(map(repr, g.components()))
+    """``value``/``differential``/``spatial_gradient`` carry the float methods' bits."""
+    d = phi.differential_at(*x.components())
+    assert repr(phi.value(x)) == repr(phi.value_at(*x.components()))
+    assert list(map(repr, phi.differential(x).components())) == list(map(repr, d))
+    assert list(map(repr, phi.spatial_gradient(x).components())) \
+        == list(map(repr, d[1:]))
+
+
+@pytest.mark.parametrize("name", ["value", "differential", "spatial_gradient"])
+def test_subclass_redefining_an_object_method_is_rejected(name):
+    """A redefined object method would split the force from the value."""
+    def doubled(self, x):
+        return getattr(HarmonicPotential, name)(self, x) * 2.0
+
+    with pytest.raises(TypeError, match="value_at and differential_at"):
+        type("DoubledSpring", (HarmonicPotential,), {name: doubled})
