@@ -28,7 +28,7 @@ from .chart import (
     metric,
     pair,
 )
-from .homogeneous import homogeneous_lagrangian, legendre
+from .homogeneous import _require_mass, homogeneous_lagrangian, legendre
 from .potentials import Potential
 
 __all__ = [
@@ -89,8 +89,7 @@ class LagrangianValue:
     value: float
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ValueError(f"mass must be positive, got {self.mass!r}")
+        _require_mass(self.mass)
 
     def __add__(self, other: "LagrangianValue") -> "LagrangianValue":
         _require_same_mass(self.mass, other.mass)
@@ -162,8 +161,7 @@ class AffineMomentum:
     p: FourCovector
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ValueError(f"mass must be positive, got {self.mass!r}")
+        _require_mass(self.mass)
 
     def translate(self, pi: FourCovector) -> "AffineMomentum":
         """Shift by a genuine covector; the affine structure of the space."""

@@ -32,6 +32,7 @@ from .chart import (
     pair_spatial,
     project,
 )
+from .homogeneous import _require_mass
 from .potentials import Potential
 
 __all__ = [
@@ -77,11 +78,6 @@ class Sample(NamedTuple):
 
 class IntegrationDiverged(ArithmeticError):
     """A trajectory left the range of 64-bit floats."""
-
-
-def _require_mass(mass: float):
-    if not mass > 0:
-        raise ValueError(f"mass must be positive, got {mass!r}")
 
 
 def lagrangian(u: Frame, mass: float, potential: Potential, x: Event,

@@ -8,8 +8,8 @@ guard against the singular zero-time-rate boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .chart import (
     Event,
@@ -63,8 +63,9 @@ class PhaseVelocity:
 
 
 def _require_mass(mass: float):
-    if not mass > 0:
-        raise ValueError(f"mass must be positive, got {mass!r}")
+    # The package's one mass guard; negated so that NaN fails it too.
+    if not 0.0 < mass < math.inf:
+        raise ValueError(f"mass must be positive and finite, got {mass!r}")
 
 
 def _time_rate(v: FourVector) -> float:
@@ -105,20 +106,27 @@ def lagrangian_differential(u: Frame, mass: float, potential: Potential,
     return base, _legendre(u, mass, potential, x, v, s)
 
 
-def _shell_energy(u: Frame, mass: float, phi: float,
-                  px: float, py: float, pz: float) -> Fraction:
-    """Exact kinetic-plus-drift-plus-potential sum over given spatial slots.
+def _shell_energy(u: Frame, mass: float, phi: float, px: float, py: float,
+                  pz: float, pt: float = 0.0) -> float:
+    """p²/2m + p·u + φ + pt·u.dt over the given slots, rounded once.
 
-    Floats are rationals; accumulating in Fraction keeps the large
-    near-cancelling terms of the shell constraint from burying the
-    1e-12 shell tolerance in rounding noise.
+    Each float slot is an integer over a power of two, so the sum is one
+    integer over 2·m_num·D, D the largest term denominator, and int / int
+    rounds it correctly: the near-cancelling shell terms cannot bury the
+    1e-12 shell tolerance.  Slots convert in argument order (p, mass, u,
+    phi, pt, u.dt), so the first non-finite one names the error.
     """
-    kin = Fraction(px) ** 2 + Fraction(py) ** 2 + Fraction(pz) ** 2
-    return (kin / (2 * Fraction(mass))
-            + Fraction(px) * Fraction(u.dx)
-            + Fraction(py) * Fraction(u.dy)
-            + Fraction(pz) * Fraction(u.dz)
-            + Fraction(phi))
+    (ax, bx), (ay, by) = px.as_integer_ratio(), py.as_integer_ratio()
+    (az, bz), (mn, md) = pz.as_integer_ratio(), mass.as_integer_ratio()
+    (ex, fx), (ey, fy) = u.dx.as_integer_ratio(), u.dy.as_integer_ratio()
+    (ez, fz), (h, hd) = u.dz.as_integer_ratio(), phi.as_integer_ratio()
+    (c, cd), (e, ed) = pt.as_integer_ratio(), u.dt.as_integer_ratio()
+    m2 = 2 * mn
+    nums = (ax * ax * md, ay * ay * md, az * az * md,
+            m2 * ax * ex, m2 * ay * ey, m2 * az * ez, m2 * h, m2 * c * e)
+    dens = (bx * bx, by * by, bz * bz, bx * fx, by * fy, bz * fz, hd, cd * ed)
+    d = max(dens)
+    return sum([n * (d // k) for n, k in zip(nums, dens)]) / (m2 * d)
 
 
 def _legendre(u: Frame, mass: float, potential: Potential, x: Event,
@@ -126,9 +134,8 @@ def _legendre(u: Frame, mass: float, potential: Potential, x: Event,
     w = project(u, v)
     a = mass / s
     px, py, pz = a * w.x, a * w.y, a * w.z
-    # The time slot balances the stored spatial slots on the mass shell
-    # exactly, up to one final rounding.
-    pt = -float(_shell_energy(u, mass, potential.value(x), px, py, pz))
+    # The time slot balances the stored spatial slots on the mass shell.
+    pt = -_shell_energy(u, mass, potential.value(x), px, py, pz)
     return FourCovector(pt, px, py, pz)
 
 
@@ -164,13 +171,12 @@ def mass_shell_residual(u: Frame, mass: float, potential: Potential,
     """Defect of the energy constraint selecting dynamical momenta.
 
     Zero exactly on the Legendre image; the frame term reads the energy
-    slot that the kinetic quadratic cannot see.  Accumulated in exact
-    rational arithmetic with one final rounding.
+    slot that the kinetic quadratic cannot see.  The energy slot enters
+    the same integer sum over a power-of-two denominator as the shell
+    energy, never a rounded energy, and the whole defect is rounded once.
     """
     _require_mass(mass)
-    total = (_shell_energy(u, mass, potential.value(x), p.px, p.py, p.pz)
-             + Fraction(p.pt) * Fraction(u.dt))
-    return float(total)
+    return _shell_energy(u, mass, potential.value(x), p.px, p.py, p.pz, p.pt)
 
 
 def is_dynamics_member(u: Frame, mass: float, potential: Potential,

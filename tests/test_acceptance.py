@@ -10,6 +10,8 @@ import math
 import time
 from pathlib import Path
 
+import pytest
+
 from galimech.cli import main
 from galimech.verify import (
     canonical_discrepancy,
@@ -22,7 +24,8 @@ TRIALS = 1000
 SEED = 42
 # The report of ``galimech verify`` at these defaults; its numbers change
 # only when a suite is changed on purpose.
-REPORT = Path(__file__).with_name("data") / "verify_seed42.txt"
+DATA = Path(__file__).with_name("data")
+REPORT = DATA / "verify_seed42.txt"
 
 
 def _margin(result):
@@ -110,3 +113,11 @@ def test_full_suite_fits_the_time_budget(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines == REPORT.read_text(encoding="utf-8").splitlines()
     assert elapsed < 60.0
+
+
+@pytest.mark.parametrize("seed", [7, 2024])
+def test_verify_report_is_pinned_at_other_seeds(capsys, seed):
+    # The same report at seeds whose trials differ from the published one.
+    assert main(["verify", "--seed", str(seed)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == (DATA / f"verify_seed{seed}.txt").read_text(encoding="utf-8").splitlines()

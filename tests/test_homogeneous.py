@@ -1,9 +1,13 @@
 import dataclasses
 import math
+from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from galimech import homogeneous
+from galimech.affine_values import AffineMomentum, LagrangianValue
 from galimech.chart import (
     Event,
     Frame,
@@ -11,9 +15,11 @@ from galimech.chart import (
     FourVector,
     ORIGIN,
     REST_FRAME,
+    SpatialCovector,
     TIME_FORM,
     pair,
 )
+from galimech.frame_dynamics import State, integrate, lagrangian
 from galimech.homogeneous import (
     PhasePoint,
     PhaseVelocity,
@@ -29,6 +35,7 @@ from galimech.homogeneous import (
     reduced_family,
 )
 from galimech.potentials import HarmonicPotential, UniformPotential, ZeroPotential
+from galimech.verify import run_checks
 
 scalars = st.floats(-2, 2)
 masses = st.floats(0.5, 3)
@@ -252,3 +259,163 @@ def test_mass_is_validated():
         legendre(REST_FRAME, 0.0, ZeroPotential(), ORIGIN, v)
     with pytest.raises(ValueError):
         homogeneous_lagrangian(REST_FRAME, -2.0, ZeroPotential(), ORIGIN, v)
+
+
+MOVING = FourVector(1.0, 0.5, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("mass", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda m: legendre(REST_FRAME, m, ZeroPotential(), ORIGIN, MOVING),
+    lambda m: homogeneous_lagrangian(REST_FRAME, m, ZeroPotential(), ORIGIN, MOVING),
+    lambda m: lagrangian(REST_FRAME, m, ZeroPotential(), ORIGIN, Frame(*MOVING.components())),
+    lambda m: integrate(REST_FRAME, m, ZeroPotential(),
+                        State(ORIGIN, SpatialCovector(0.5, 0.0, 0.0)), 0.1, 3),
+    lambda m: AffineMomentum(m, FourCovector(0.0, 0.5, 0.0, 0.0)),
+    lambda m: LagrangianValue(m, MOVING, 0.0),
+], ids=["legendre", "homogeneous_lagrangian", "lagrangian", "integrate",
+        "AffineMomentum", "LagrangianValue"])
+def test_mass_must_be_positive_and_finite(call, mass):
+    with pytest.raises(ValueError, match="mass must be positive and finite"):
+        call(mass)
+
+
+# -- the shell sum against exact rational arithmetic ------------------------
+
+def _fraction_shell(u, mass, phi, px, py, pz, pt=0.0):
+    """p²/2m + p·u + φ + pt·u.dt in Fraction, rounded once: the oracle."""
+    kin = Fraction(px) ** 2 + Fraction(py) ** 2 + Fraction(pz) ** 2
+    total = (kin / (2 * Fraction(mass))
+             + Fraction(px) * Fraction(u.dx)
+             + Fraction(py) * Fraction(u.dy)
+             + Fraction(pz) * Fraction(u.dz)
+             + Fraction(phi))
+    return float(total + Fraction(pt) * Fraction(u.dt))
+
+
+def _outcome(call):
+    """The bits of the float ``call`` returns, or its error's type and message."""
+    try:
+        return call().hex()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _against_fraction(call):
+    """Outcome of ``call``, and of the same call with the Fraction shell sum."""
+    with mock.patch.object(homogeneous, "_shell_energy", _fraction_shell):
+        want = _outcome(call)
+    return _outcome(call), want
+
+
+def _constant(phi):
+    """A potential reading ``phi`` at the returned event."""
+    return UniformPotential(FourCovector(phi, 0.0, 0.0, 0.0)), Event(1.0, 0.0, 0.0, 0.0)
+
+
+# Every finite float, signed zeros and subnormals included, mixed with the
+# everyday range so that not every draw overflows.
+slots = st.one_of(st.floats(-3, 3), st.floats(allow_nan=False, allow_infinity=False))
+wide_masses = st.one_of(masses, st.floats(0.0, exclude_min=True, allow_infinity=False))
+# Frame time components off 1 by up to the frame tolerance.
+NEAR_ONE = (1.0 - 2.0 ** -40, 1.0 + 2.0 ** -40)
+tilted = st.floats(*NEAR_ONE)
+wide_frames = st.builds(Frame, tilted, slots, slots, slots)
+SUB = 5e-324
+TINY = 2.2250738585072014e-308
+
+
+@example(Frame(1.0, -0.0, 0.0, -0.0), 1.0, -0.0, FourCovector(-0.0, -0.0, 0.0, -0.0))
+@example(Frame(NEAR_ONE[0], SUB, -TINY, 0.0), SUB, -SUB, FourCovector(SUB, -SUB, TINY, 3 * SUB))
+@example(Frame(NEAR_ONE[1], 1e-300, -1e300, 0.5), 0.1, 1e300,
+         FourCovector(-1e300, 1e-300, 1e-300, -1e-300))
+@example(Frame(1.0, 0.3, 0.1, -0.7), 1 / 3, 1e-300, FourCovector(1e300, 1e150, 0.0, 0.0))
+@example(Frame(NEAR_ONE[0], 0.1, 0.2, 0.3), 0.7, 0.9, FourCovector(0.1, 1e-5, 0.3, -0.3))
+@given(wide_frames, wide_masses, slots, st.builds(FourCovector, slots, slots, slots, slots))
+def test_mass_shell_residual_matches_fraction_oracle(u, mass, phi, p):
+    potential, x = _constant(phi)
+    got, want = _against_fraction(lambda: mass_shell_residual(u, mass, potential, x, p))
+    assert got == want
+
+
+@example(Frame(1.0, -0.0, 0.0, -0.0), 1.0, -0.0, FourVector(1.0, -0.0, 0.0, -0.0))
+@example(Frame(NEAR_ONE[1], SUB, 0.0, -TINY), SUB, TINY, FourVector(1.0, 2 * SUB, -SUB, 0.0))
+@example(Frame(NEAR_ONE[0], 1e-300, 0.0, 0.0), 1e8, 0.5, FourVector(1.0, 1e300, 0.0, 0.0))
+@example(Frame(1.0, 0.3, 0.1, -0.7), 0.1, 1e300, FourVector(0.7, 1e-300, 1e150, -2.0))
+@given(wide_frames, wide_masses, slots,
+       st.builds(FourVector, st.floats(1e-6, 1e6), slots, slots, slots))
+def test_legendre_time_slot_matches_fraction_oracle(u, mass, phi, v):
+    potential, x = _constant(phi)
+    got, want = _against_fraction(lambda: legendre(u, mass, potential, x, v).pt)
+    assert got == want
+
+
+moderate = st.floats(-1e150, 1e150)
+
+
+@example(Frame(NEAR_ONE[0], 0.3, -0.2, 0.1), 0.1, 2.5, 1.0, -1.0, 0.5)
+@example(Frame(NEAR_ONE[1], 1e150, -1e-150, 0.0), 1 / 3, -1e300, 1e-150, 1e150, -0.0)
+@given(st.builds(Frame, tilted, moderate, moderate, moderate), st.floats(1e-3, 1e3),
+       st.floats(-1e300, 1e300), moderate, moderate, moderate)
+def test_on_shell_residual_matches_fraction_oracle(u, mass, phi, px, py, pz):
+    # pt = -shell makes the residual a near-total cancellation.
+    p = FourCovector(-_fraction_shell(u, mass, phi, px, py, pz), px, py, pz)
+    potential, x = _constant(phi)
+    got, want = _against_fraction(lambda: mass_shell_residual(u, mass, potential, x, p))
+    assert got == want
+
+
+INF, NAN = math.inf, math.nan
+U = Frame(1.0, 0.3, -0.4, 0.1)
+
+
+def _residual(u, mass, phi, p):
+    potential, x = _constant(phi)
+    return lambda: mass_shell_residual(u, mass, potential, x, p)
+
+
+@pytest.mark.parametrize("call", [
+    _residual(U, 2.0, 0.5, FourCovector(0.0, INF, 0.0, 0.0)),
+    _residual(U, 2.0, 0.5, FourCovector(0.0, 0.0, -NAN, 0.0)),
+    _residual(Frame(1.0, 0.0, NAN, 0.0), 2.0, 0.5, FourCovector(0.0, 1.0, 1.0, 1.0)),
+    _residual(U, 2.0, -INF, FourCovector(0.0, 1.0, 1.0, 1.0)),
+    _residual(U, 2.0, 0.5, FourCovector(-INF, 1.0, 1.0, 1.0)),
+    _residual(U, 2.0, 0.5, FourCovector(0.0, NAN, 0.0, INF)),
+    _residual(U, 2.0, 0.5, FourCovector(NAN, 0.0, INF, 0.0)),
+    _residual(Frame(1.0, INF, 0.0, 0.0), 2.0, NAN, FourCovector(INF, 0.0, 0.0, 0.0)),
+    _residual(U, 2.0, NAN, FourCovector(INF, 0.0, 0.0, 0.0)),
+    _residual(U, 1e-10, 0.0, FourCovector(0.0, 1e300, 0.0, 0.0)),
+    _residual(Frame(1.0, 1e10, 0.0, 0.0), 1e300, 0.0, FourCovector(0.0, 1e300, 0.0, 0.0)),
+    _residual(REST_FRAME, 1.0, 1.7e308, FourCovector(1.7e308, 0.0, 0.0, 0.0)),
+    lambda: legendre(U, 1e8, ZeroPotential(), ORIGIN, FourVector(1.0, 1e300, 0.0, 0.0)).pt,
+    lambda: legendre(Frame(1.0, NAN, 0.0, 0.0), 1.0, ZeroPotential(), ORIGIN, MOVING).pt,
+    lambda: legendre(U, 1.0, _constant(INF)[0], _constant(INF)[1], MOVING).pt,
+], ids=["inf-px", "nan-py", "nan-ux", "inf-phi", "inf-pt",
+        "nan-px-inf-pz", "nan-pt-inf-py", "inf-ux-nan-phi-inf-pt", "nan-phi-inf-pt",
+        "kinetic-overflow", "drift-overflow", "sum-overflow",
+        "legendre-kinetic-overflow", "legendre-nan-frame", "legendre-inf-phi"])
+def test_shell_errors_match_fraction_oracle(call):
+    got, want = _against_fraction(call)
+    assert isinstance(want, tuple)
+    assert got == want
+
+
+def test_shell_arithmetic_builds_no_fraction(monkeypatch):
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    phi = HarmonicPotential(1.5, Event(0.0, 0.2, 0.0, 0.0))
+    x = Event(0.5, 1.0, -1.0, 0.5)
+    p = legendre(U, 2.0, phi, x, FourVector(1.5, 0.7, -0.2, 1.1))
+    mass_shell_residual(U, 2.0, phi, x, p)
+    run_checks(trials=10, names=["legendre-on-shell", "shell-transport",
+                                 "legendre-frame-coherence"])
+    assert built == []
+    # The count is live: a Fraction built here is seen.
+    Fraction(1, 3)
+    assert len(built) == 1
