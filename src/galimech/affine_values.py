@@ -28,7 +28,8 @@ from .chart import (
     metric,
     pair,
 )
-from .homogeneous import _require_mass, homogeneous_lagrangian, legendre
+from .homogeneous import (MEMBER_TOL, TIME_RATE_FLOOR, _characteristic, _require_mass,
+                          _within, homogeneous_lagrangian, legendre)
 from .potentials import Potential
 
 __all__ = [
@@ -136,8 +137,7 @@ def fiber_difference(a: LagrangianValue, b: LagrangianValue) -> float:
     Defined only for values over the same velocity.
     """
     _require_same_mass(a.mass, b.mass)
-    d = a.velocity - b.velocity
-    if not all(abs(c) <= _FIBER_TOL for c in d.components()):
+    if not _within(a.velocity - b.velocity, _FIBER_TOL):
         raise ValueError("values lie over different velocities")
     return b.value - a.value
 
@@ -223,7 +223,7 @@ def morse_family(potential: Potential, x: Event, momentum: AffineMomentum,
 
 def is_universal_member(potential: Potential, x: Event,
                         momentum: AffineMomentum, xdot: FourVector,
-                        pdot: FourCovector, tol: float = 1e-9) -> bool:
+                        pdot: FourCovector) -> bool:
     """Whether a frame-free phase rate solves the equations of motion.
 
     Evaluated through the stored representative: forward time rate, the
@@ -231,14 +231,10 @@ def is_universal_member(potential: Potential, x: Event,
     direction for both slots.
     """
     r = pair(TIME_FORM, xdot)
-    if not r > 0.0:
+    if not r > TIME_RATE_FLOOR:
         return False
-    if not abs(shell_function(momentum) + potential.value(x)) <= tol:
+    if not abs(shell_function(momentum) + potential.value(x)) <= MEMBER_TOL:
         return False
-    want_xdot = (cometric(momentum.p) * (1.0 / momentum.mass) + REST_FRAME) * r
-    d = xdot - want_xdot
-    if not all(abs(c) <= tol for c in d.components()):
-        return False
-    want_pdot = potential.differential(x) * (-r)
-    e = pdot - want_pdot
-    return all(abs(c) <= tol for c in e.components())
+    want = _characteristic(REST_FRAME, momentum.mass, potential, x, momentum.p, r)
+    return (_within(xdot - want.xdot, MEMBER_TOL)
+            and _within(pdot - want.pdot, MEMBER_TOL))

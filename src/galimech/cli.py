@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator
 
 from .affine_values import affine_momentum, shell_function
 from .chart import Frame, SpatialCovector, SpatialVector, embed, metric
-from .config import ConfigError, RunConfig, _floats, load_config
+from .config import ConfigError, RunConfig, _float, _floats, _tol, load_config
 from .frame_dynamics import Sample, State, integrate
 from .homogeneous import legendre, mass_shell_residual
 from .verify import max_event_gap, render_report, run_checks
@@ -63,12 +63,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_boost(args) -> int:
     cfg = load_config(args.config)
     boost = SpatialVector(*_floats("boost", args.boost, 3))
+    corrupt = _float("corrupt-momentum", args.corrupt_momentum)
     u1 = cfg.frame
     u2 = Frame.from_boost(u1.boost() + boost)
     # Same physical initial condition seen from the boosted frame.
     p2 = cfg.p0 - metric(boost) * cfg.mass
-    if args.corrupt_momentum:
-        p2 = p2 + SpatialCovector(args.corrupt_momentum, 0.0, 0.0)
+    if corrupt:
+        p2 = p2 + SpatialCovector(corrupt, 0.0, 0.0)
     first = _run(cfg, u1, cfg.p0)
     second = _run(cfg, u2, p2)
     discrepancy = max_event_gap(first, second)
@@ -84,7 +85,8 @@ def _cmd_boost(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_checks(trials=args.trials, seed=args.seed, tolerance=args.tol)
+    tol = None if args.tol is None else _tol(args.tol)
+    results = run_checks(trials=args.trials, seed=args.seed, tolerance=tol)
     for line in render_report(results):
         print(line)
     return 0 if all(result.passed for result in results) else 1
@@ -133,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     boost.add_argument("--boost", required=True, metavar="BX,BY,BZ",
                        help="boost added to the configured frame")
     boost.add_argument("--out", required=True, help="output path (two CSV sections)")
-    boost.add_argument("--corrupt-momentum", type=float, default=0.0,
+    boost.add_argument("--corrupt-momentum", default="0",
                        metavar="DELTA",
                        help="test hook: offset the boosted momentum map")
     boost.set_defaults(func=_cmd_boost)
@@ -141,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the property suites")
     verify.add_argument("--trials", type=int, default=1000)
     verify.add_argument("--seed", type=int, default=42)
-    verify.add_argument("--tol", type=float, default=None,
+    verify.add_argument("--tol", default=None,
                         help="override every per-suite tolerance")
     verify.set_defaults(func=_cmd_verify)
 
@@ -160,12 +162,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,10 +30,16 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
+# Each potential kind and the dotted keys it takes besides potential.kind.
+_POTENTIAL_KEYS = {
+    "zero": frozenset(),
+    "uniform": frozenset({"potential.k"}),
+    "harmonic": frozenset({"potential.kappa", "potential.center"}),
+}
+
 _KNOWN_KEYS = frozenset({
-    "mass", "potential.kind", "potential.k", "potential.kappa",
-    "potential.center", "frame", "x0", "v0", "p0", "dt", "steps", "tol",
-})
+    "mass", "potential.kind", "frame", "x0", "v0", "p0", "dt", "steps", "tol",
+}).union(*_POTENTIAL_KEYS.values())
 
 _REQUIRED_KEYS = ("mass", "potential.kind", "x0", "dt", "steps")
 
@@ -79,6 +85,13 @@ def _float(key: str, raw: str) -> float:
     return value
 
 
+def _tol(raw: str) -> float:
+    tol = _float("tol", raw)
+    if not tol > 0:
+        raise ConfigError(f"tol: must be positive, got {tol}")
+    return tol
+
+
 def _int(key: str, raw: str) -> int:
     try:
         return int(raw)
@@ -88,16 +101,11 @@ def _int(key: str, raw: str) -> int:
 
 def _build_potential(entries: dict[str, str]) -> Potential:
     kind = entries["potential.kind"]
-    if kind == "zero":
-        allowed: set[str] = set()
-    elif kind == "uniform":
-        allowed = {"potential.k"}
-    elif kind == "harmonic":
-        allowed = {"potential.kappa", "potential.center"}
-    else:
+    if kind not in _POTENTIAL_KEYS:
         raise ConfigError(f"potential.kind: unknown kind {kind!r}")
     extra = {key for key in entries
-             if key.startswith("potential.") and key != "potential.kind"} - allowed
+             if key.startswith("potential.") and key != "potential.kind"} \
+        - _POTENTIAL_KEYS[kind]
     if extra:
         raise ConfigError(f"{sorted(extra)[0]}: not valid for potential.kind={kind}")
 
@@ -146,9 +154,7 @@ def parse_config(text: str) -> RunConfig:
     steps = _int("steps", entries["steps"])
     if steps < 1:
         raise ConfigError(f"steps: must be at least 1, got {steps}")
-    tol = _float("tol", entries["tol"]) if "tol" in entries else 1e-6
-    if not tol > 0:
-        raise ConfigError(f"tol: must be positive, got {tol}")
+    tol = _tol(entries["tol"]) if "tol" in entries else 1e-6
 
     frame = Frame.from_boost(SpatialVector(*_floats("frame", entries["frame"], 3))) \
         if "frame" in entries else REST_FRAME

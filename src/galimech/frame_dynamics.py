@@ -105,15 +105,12 @@ def hamiltonian(mass: float, potential: Potential, x: Event,
 
 def dynamics_field(u: Frame, mass: float, potential: Potential,
                    state: State) -> Tangent:
-    """Equations of motion: xdot = g^-1(p)/m + u, pdot = -grad phi."""
-    _require_mass(mass)
-    w = metric_inv(state.p)
-    inv_mass = 1.0 / mass
-    xdot = Frame(1.0,
-                 w.x * inv_mass + u.dx,
-                 w.y * inv_mass + u.dy,
-                 w.z * inv_mass + u.dz)
-    return Tangent(xdot, -potential.spatial_gradient(state.x))
+    """Equations of motion: xdot = g^-1(p)/m + u, pdot = -grad phi.
+
+    The vertical field plus the frame's drift.
+    """
+    w, force = vertical_field(mass, potential, state)
+    return Tangent(Frame(1.0, w.x + u.dx, w.y + u.dy, w.z + u.dz), force)
 
 
 def vertical_field(mass: float, potential: Potential,

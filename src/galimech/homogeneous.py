@@ -29,6 +29,7 @@ __all__ = [
     "PhasePoint",
     "PhaseVelocity",
     "TIME_RATE_FLOOR",
+    "MEMBER_TOL",
     "homogeneous_lagrangian",
     "lagrangian_differential",
     "legendre",
@@ -44,6 +45,8 @@ __all__ = [
 # must stay away from its zero boundary.  The guards are negated
 # comparisons, so a NaN rate fails them too.
 TIME_RATE_FLOOR = 1e-12
+# Slot-wise tolerance of the membership verdicts and of the shell check.
+MEMBER_TOL = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,6 +81,11 @@ def _time_rate(v: FourVector) -> float:
 def _require_time_rate(time_rate: float):
     if not time_rate > TIME_RATE_FLOOR:
         raise ValueError(f"time rate must be positive, got {time_rate!r}")
+
+
+def _within(d, tol: float) -> bool:
+    """Whether every slot of ``d`` is at most ``tol``; a NaN slot is not."""
+    return all(abs(c) <= tol for c in d.components())
 
 
 def homogeneous_lagrangian(u: Frame, mass: float, potential: Potential,
@@ -181,7 +189,7 @@ def mass_shell_residual(u: Frame, mass: float, potential: Potential,
 
 def is_dynamics_member(u: Frame, mass: float, potential: Potential,
                        point: PhasePoint, velocity: PhaseVelocity,
-                       tol: float = 1e-9) -> bool:
+                       tol: float = MEMBER_TOL) -> bool:
     """Whether (point, velocity) solves the homogeneous equations of motion.
 
     Time-reversed or frozen motions are judged non-members rather than
@@ -192,12 +200,10 @@ def is_dynamics_member(u: Frame, mass: float, potential: Potential,
     if not s > TIME_RATE_FLOOR:
         return False
     want_p = _legendre(u, mass, potential, point.x, velocity.xdot, s)
-    d = point.p - want_p
-    if not all(abs(c) <= tol for c in d.components()):
+    if not _within(point.p - want_p, tol):
         return False
     want_pdot = potential.differential(point.x) * (-s)
-    d = velocity.pdot - want_pdot
-    return all(abs(c) <= tol for c in d.components())
+    return _within(velocity.pdot - want_pdot, tol)
 
 
 def generating_family(u: Frame, mass: float, potential: Potential, x: Event,
@@ -217,9 +223,15 @@ def reduced_family(u: Frame, mass: float, potential: Potential, x: Event,
     return time_rate * mass_shell_residual(u, mass, potential, x, p)
 
 
+def _characteristic(u: Frame, mass: float, potential: Potential, x: Event,
+                    p: FourCovector, rate: float) -> PhaseVelocity:
+    """The hamiltonian generator at ``rate`` through (x, p), shell unchecked."""
+    return PhaseVelocity((cometric(p) * (1.0 / mass) + u) * rate,
+                         potential.differential(x) * (-rate))
+
+
 def characteristic_field(u: Frame, mass: float, potential: Potential,
-                         x: Event, p: FourCovector, time_rate: float,
-                         shell_tol: float = 1e-9) -> PhaseVelocity:
+                         x: Event, p: FourCovector, time_rate: float) -> PhaseVelocity:
     """Generator of the dynamics on the mass shell, scaled by ``time_rate``.
 
     Negative rates are allowed: they span the time-reversed half of the
@@ -229,8 +241,6 @@ def characteristic_field(u: Frame, mass: float, potential: Potential,
     """
     _require_mass(mass)
     residual = mass_shell_residual(u, mass, potential, x, p)
-    if abs(residual) > shell_tol:
+    if abs(residual) > MEMBER_TOL:
         raise ValueError(f"momentum is off shell, residual {residual!r}")
-    xdot = (cometric(p) * (1.0 / mass) + u) * time_rate
-    pdot = potential.differential(x) * (-time_rate)
-    return PhaseVelocity(xdot, pdot)
+    return _characteristic(u, mass, potential, x, p, time_rate)

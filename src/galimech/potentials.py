@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 from .chart import ORIGIN, Event, FourCovector, SpatialCovector
 
@@ -26,8 +25,6 @@ __all__ = ["Potential", "ZeroPotential", "UniformPotential", "HarmonicPotential"
 
 class Potential:
     """Interface: a value and an exact differential at every event."""
-
-    kind: ClassVar[str]
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -63,8 +60,6 @@ class Potential:
 class ZeroPotential(Potential):
     """Free particle."""
 
-    kind: ClassVar[str] = "zero"
-
     def value_at(self, t, x, y, z):
         return 0.0
 
@@ -80,7 +75,6 @@ class UniformPotential(Potential):
     the same rate; the force is still constant.
     """
 
-    kind: ClassVar[str] = "uniform"
     slope: FourCovector
 
     def value_at(self, t, x, y, z):
@@ -102,7 +96,6 @@ class HarmonicPotential(Potential):
     so the differential never picks up a time component.
     """
 
-    kind: ClassVar[str] = "harmonic"
     stiffness: float
     center: Event = ORIGIN
 

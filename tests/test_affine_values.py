@@ -31,22 +31,25 @@ from galimech.chart import (
     REST_FRAME,
     cometric,
 )
-from galimech.homogeneous import generating_family, homogeneous_lagrangian, legendre
-from galimech.potentials import HarmonicPotential, UniformPotential, ZeroPotential
+from galimech.homogeneous import (
+    PhasePoint,
+    characteristic_field,
+    generating_family,
+    homogeneous_lagrangian,
+    is_dynamics_member,
+    legendre,
+)
+from galimech.potentials import HarmonicPotential
 
-scalars = st.floats(-2, 2)
-masses = st.floats(0.5, 3)
-frames = st.builds(Frame, st.just(1.0), scalars, scalars, scalars)
-events = st.builds(Event, scalars, scalars, scalars, scalars)
-four_vectors = st.builds(FourVector, scalars, scalars, scalars, scalars)
-four_velocities = st.builds(FourVector, st.floats(0.1, 3),
-                            scalars, scalars, scalars)
-four_covectors = st.builds(FourCovector, scalars, scalars, scalars, scalars)
-potentials = st.one_of(
-    st.just(ZeroPotential()),
-    st.builds(UniformPotential,
-              st.builds(FourCovector, scalars, scalars, scalars, scalars)),
-    st.builds(HarmonicPotential, st.floats(0.2, 2), events),
+from strategies import (
+    scalars,
+    masses,
+    frames,
+    events,
+    four_vectors,
+    four_velocities,
+    four_covectors,
+    potentials,
 )
 
 
@@ -241,6 +244,19 @@ def test_universal_member_accepts_the_characteristic_lift(mass, phi, x, u, v, r)
     pdot = phi.differential(x) * (-r)
     assert is_universal_member(phi, x, momentum, xdot, pdot)
     assert not is_universal_member(phi, x, momentum, -xdot, -pdot)
+
+
+@pytest.mark.parametrize("rate, member", [(1e-13, False), (1e-11, True)])
+def test_universal_and_frame_membership_share_the_forward_time_guard(rate, member):
+    """Both verdicts treat a rate at or below TIME_RATE_FLOOR as frozen motion."""
+    u, mass = Frame(1.0, 0.5, -0.25, 0.0), 2.0
+    phi = HarmonicPotential(1.0, ORIGIN)
+    x = Event(0.0, 1.0, 0.0, 0.0)
+    p = legendre(u, mass, phi, x, FourVector(1.0, 0.3, 0.0, 0.0))
+    vel = characteristic_field(u, mass, phi, x, p, rate)
+    frame_ok = is_dynamics_member(u, mass, phi, PhasePoint(x, p), vel)
+    uni_ok = is_universal_member(phi, x, affine_momentum(mass, u, p), vel.xdot, vel.pdot)
+    assert (frame_ok, uni_ok) == (member, member)
 
 
 def test_universal_member_rejects_corruptions():

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from galimech.chart import (
     Event,
@@ -24,13 +24,13 @@ from galimech.chart import (
     restrict,
 )
 
-scalars = st.floats(-2, 2)
-four_vectors = st.builds(FourVector, scalars, scalars, scalars, scalars)
-four_covectors = st.builds(FourCovector, scalars, scalars, scalars, scalars)
-spatial_vectors = st.builds(SpatialVector, scalars, scalars, scalars)
-spatial_covectors = st.builds(SpatialCovector, scalars, scalars, scalars)
-frames = st.builds(Frame, st.just(1.0), scalars, scalars, scalars)
-events = st.builds(Event, scalars, scalars, scalars, scalars)
+from strategies import (
+    frames,
+    events,
+    four_vectors,
+    four_covectors,
+    spatial_covectors,
+)
 
 
 def _close(a, b, tol=1e-12):

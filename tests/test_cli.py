@@ -186,6 +186,17 @@ def test_boost_rejects_non_finite_vector(tmp_path, capsys, boost):
     assert not (tmp_path / "x.txt").exists()
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+def test_boost_rejects_non_finite_corruption(tmp_path, capsys, delta):
+    out = tmp_path / "x.txt"
+    assert main(["boost", "--config", write(tmp_path, FREE), "--boost", "0.25,0,0",
+                 "--out", str(out), "--corrupt-momentum=" + delta]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: corrupt-momentum: must be finite, got {delta}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_legendre_worked_example(tmp_path, capsys):
     assert main(["legendre", "--config", write(tmp_path, LEGENDRE_BASE)]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -259,6 +270,19 @@ def test_verify_unreachable_tolerance_fails(capsys):
     assert main(["verify", "--trials", "1", "--tol", "1e-16"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert any(line.endswith("FAIL") for line in lines)
+
+
+@pytest.mark.parametrize("tol, message", [
+    ("inf", "must be finite, got inf"),
+    ("nan", "must be finite, got nan"),
+    ("0", "must be positive, got 0.0"),
+    ("-1", "must be positive, got -1.0"),
+], ids=["inf", "nan", "0", "-1"])
+def test_verify_tolerance_follows_the_config_rules(capsys, tol, message):
+    assert main(["verify", "--trials", "1", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: tol: {message}\n"
+    assert captured.out == ""
 
 
 def test_verify_rejects_zero_trials():

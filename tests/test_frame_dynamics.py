@@ -1,12 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from galimech.chart import (
     Event,
     Frame,
-    FourCovector,
     ORIGIN,
     REST_FRAME,
     SpatialCovector,
@@ -27,18 +26,14 @@ from galimech.frame_dynamics import (
     poisson_field,
     vertical_field,
 )
-from galimech.potentials import HarmonicPotential, UniformPotential, ZeroPotential
+from galimech.potentials import HarmonicPotential, ZeroPotential
 
-scalars = st.floats(-2, 2)
-masses = st.floats(0.5, 3)
-frames = st.builds(Frame, st.just(1.0), scalars, scalars, scalars)
-events = st.builds(Event, scalars, scalars, scalars, scalars)
-spatial_covectors = st.builds(SpatialCovector, scalars, scalars, scalars)
-potentials = st.one_of(
-    st.just(ZeroPotential()),
-    st.builds(UniformPotential,
-              st.builds(FourCovector, scalars, scalars, scalars, scalars)),
-    st.builds(HarmonicPotential, st.floats(0.2, 2), events),
+from strategies import (
+    masses,
+    frames,
+    events,
+    spatial_covectors,
+    potentials,
 )
 
 

@@ -37,18 +37,12 @@ from galimech.homogeneous import (
 from galimech.potentials import HarmonicPotential, UniformPotential, ZeroPotential
 from galimech.verify import run_checks
 
-scalars = st.floats(-2, 2)
-masses = st.floats(0.5, 3)
-frames = st.builds(Frame, st.just(1.0), scalars, scalars, scalars)
-events = st.builds(Event, scalars, scalars, scalars, scalars)
-# Future-directed four-velocities, away from the zero-rate boundary.
-four_velocities = st.builds(FourVector, st.floats(0.1, 3),
-                            scalars, scalars, scalars)
-potentials = st.one_of(
-    st.just(ZeroPotential()),
-    st.builds(UniformPotential,
-              st.builds(FourCovector, scalars, scalars, scalars, scalars)),
-    st.builds(HarmonicPotential, st.floats(0.2, 2), events),
+from strategies import (
+    masses,
+    frames,
+    events,
+    four_velocities,
+    potentials,
 )
 
 

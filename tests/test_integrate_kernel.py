@@ -42,8 +42,6 @@ from galimech.potentials import (
 class TiltedWell(Potential):
     """Time-dependent custom potential, defined on chart coordinates."""
 
-    kind = "tilted-well"
-
     def __init__(self, a: float, b: float, c: float):
         self.a, self.b, self.c = a, b, c
 
@@ -209,7 +207,7 @@ def test_harmonic_error_has_order_four():
     ZeroPotential(),
     UniformPotential(FourCovector(0.3, -0.7, 0.2, 1.1)),
     HarmonicPotential(1.3, Event(0.0, 0.5, -0.5, 1.0)),
-], ids=lambda phi: phi.kind)
+], ids=["zero", "uniform", "harmonic"])
 def test_integrate_builds_no_per_stage_value_objects(monkeypatch, phi):
     u = Frame(1.0, 0.3, -0.2, 0.1)
     initial = State(Event(0.0, 1.0, -0.5, 0.25), SpatialCovector(0.2, 0.0, -0.4))

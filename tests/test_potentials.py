@@ -11,20 +11,15 @@ from galimech.potentials import (
     ZeroPotential,
 )
 
-scalars = st.floats(-2, 2)
-events = st.builds(Event, scalars, scalars, scalars, scalars)
-potentials = st.one_of(
-    st.just(ZeroPotential()),
-    st.builds(UniformPotential,
-              st.builds(FourCovector, scalars, scalars, scalars, scalars)),
-    st.builds(HarmonicPotential, st.floats(0.2, 2), events),
+from strategies import (
+    scalars,
+    events,
+    potentials,
 )
 
 
 class Saddle(Potential):
     """A custom kind with a time slot, defined on chart coordinates."""
-
-    kind = "saddle"
 
     def value_at(self, t, x, y, z):
         return t * (x * x - y * y) + z
@@ -38,7 +33,6 @@ def test_zero_potential():
     x = Event(1.0, 2.0, 3.0, 4.0)
     assert phi.value(x) == 0.0
     assert phi.differential(x) == FourCovector(0.0, 0.0, 0.0, 0.0)
-    assert phi.kind == "zero"
 
 
 def test_uniform_potential_oracle():

@@ -13,7 +13,7 @@ from galimech.chart import (
     REST_FRAME,
     SpatialCovector,
 )
-from galimech.frame_dynamics import State, integrate
+from galimech.frame_dynamics import State, generate_from_lagrangian, integrate
 from galimech.potentials import ZeroPotential
 from galimech.verify import (
     CHECKS,
@@ -21,7 +21,6 @@ from galimech.verify import (
     CheckResult,
     canonical_discrepancy,
     canonical_energy_drift,
-    initial_momentum,
     render_report,
     rest_energy_drift,
     run_checks,
@@ -150,7 +149,8 @@ def test_nan_gradient_is_not_an_off_shell_detection(monkeypatch):
 
 def test_initial_momentum_oracle():
     u = Frame(1.0, 0.5, 0.0, 0.0)
-    p = initial_momentum(u, 2.0, Frame(1.0, 0.8, 0.0, 0.0))
+    p = generate_from_lagrangian(u, 2.0, ZeroPotential(), ORIGIN,
+                                 Frame(1.0, 0.8, 0.0, 0.0))[0].p
     assert p.x == pytest.approx(0.6, abs=1e-15)
     assert p.y == 0.0 and p.z == 0.0
 
