@@ -4,6 +4,8 @@ Everything lives in one global chart: a reference origin event, an
 orthonormal spatial basis, the rest frame and the time form that reads
 off elapsed time.  Four-component values are small frozen dataclasses
 and every operation is a pure function, so values can be shared freely.
+The four linear types get add, subtract, negate, scale and
+``components`` from their fields, compiled once by ``_linear``.
 
 The metric is Euclidean with identity components in this chart, which
 makes ``metric``/``metric_inv`` look like renames.  They are kept as
@@ -14,7 +16,7 @@ frame bookkeeping honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "FourVector",
@@ -42,6 +44,34 @@ __all__ = [
 _FRAME_TOL = 1e-12
 
 
+def _linear(cls):
+    """Compile the vector-space operations of ``cls`` from its fields.
+
+    One expression per slot, built the way ``dataclasses`` builds
+    ``__init__``: the bytecode of writing them out, with no per-call
+    loop.  Results are ``cls``, also for a subclass such as ``Frame``.
+    ``Event`` (affine: the result type depends on the operand) and
+    ``affine_values.LagrangianValue`` (masses must match) keep
+    hand-written operators.
+    """
+    def slots(template: str) -> str:
+        return ", ".join(template.format(f.name) for f in fields(cls))
+
+    # A class statement, so that each method gets its qualified name.
+    namespace = {"__name__": cls.__module__, "cls": cls}
+    exec(f"class {cls.__name__}:\n"
+         f" def __add__(self, other): return cls({slots('self.{0} + other.{0}')})\n"
+         f" def __sub__(self, other): return cls({slots('self.{0} - other.{0}')})\n"
+         f" def __neg__(self): return cls({slots('-self.{0}')})\n"
+         f" def __mul__(self, a): return cls({slots('a * self.{0}')})\n"
+         " __rmul__ = __mul__\n"
+         f" def components(self): return ({slots('self.{0}')},)\n", namespace)
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "components"):
+        setattr(cls, name, vars(namespace[cls.__name__])[name])
+    return cls
+
+
+@_linear
 @dataclass(frozen=True, slots=True)
 class FourVector:
     """Displacement in space-time; ``dt`` is the elapsed-time component."""
@@ -51,26 +81,8 @@ class FourVector:
     dy: float
     dz: float
 
-    def __add__(self, other: "FourVector") -> "FourVector":
-        return FourVector(self.dt + other.dt, self.dx + other.dx,
-                          self.dy + other.dy, self.dz + other.dz)
 
-    def __sub__(self, other: "FourVector") -> "FourVector":
-        return FourVector(self.dt - other.dt, self.dx - other.dx,
-                          self.dy - other.dy, self.dz - other.dz)
-
-    def __neg__(self) -> "FourVector":
-        return FourVector(-self.dt, -self.dx, -self.dy, -self.dz)
-
-    def __mul__(self, a: float) -> "FourVector":
-        return FourVector(a * self.dt, a * self.dx, a * self.dy, a * self.dz)
-
-    __rmul__ = __mul__
-
-    def components(self) -> tuple[float, float, float, float]:
-        return (self.dt, self.dx, self.dy, self.dz)
-
-
+@_linear
 @dataclass(frozen=True, slots=True)
 class FourCovector:
     """Linear form on displacements; ``pt`` multiplies the time component."""
@@ -80,26 +92,8 @@ class FourCovector:
     py: float
     pz: float
 
-    def __add__(self, other: "FourCovector") -> "FourCovector":
-        return FourCovector(self.pt + other.pt, self.px + other.px,
-                            self.py + other.py, self.pz + other.pz)
 
-    def __sub__(self, other: "FourCovector") -> "FourCovector":
-        return FourCovector(self.pt - other.pt, self.px - other.px,
-                            self.py - other.py, self.pz - other.pz)
-
-    def __neg__(self) -> "FourCovector":
-        return FourCovector(-self.pt, -self.px, -self.py, -self.pz)
-
-    def __mul__(self, a: float) -> "FourCovector":
-        return FourCovector(a * self.pt, a * self.px, a * self.py, a * self.pz)
-
-    __rmul__ = __mul__
-
-    def components(self) -> tuple[float, float, float, float]:
-        return (self.pt, self.px, self.py, self.pz)
-
-
+@_linear
 @dataclass(frozen=True, slots=True)
 class SpatialVector:
     """Vector with no time component, in the spatial basis of the chart."""
@@ -108,24 +102,8 @@ class SpatialVector:
     y: float
     z: float
 
-    def __add__(self, other: "SpatialVector") -> "SpatialVector":
-        return SpatialVector(self.x + other.x, self.y + other.y, self.z + other.z)
 
-    def __sub__(self, other: "SpatialVector") -> "SpatialVector":
-        return SpatialVector(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "SpatialVector":
-        return SpatialVector(-self.x, -self.y, -self.z)
-
-    def __mul__(self, a: float) -> "SpatialVector":
-        return SpatialVector(a * self.x, a * self.y, a * self.z)
-
-    __rmul__ = __mul__
-
-    def components(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
-
+@_linear
 @dataclass(frozen=True, slots=True)
 class SpatialCovector:
     """Linear form on spatial vectors."""
@@ -133,23 +111,6 @@ class SpatialCovector:
     x: float
     y: float
     z: float
-
-    def __add__(self, other: "SpatialCovector") -> "SpatialCovector":
-        return SpatialCovector(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "SpatialCovector") -> "SpatialCovector":
-        return SpatialCovector(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "SpatialCovector":
-        return SpatialCovector(-self.x, -self.y, -self.z)
-
-    def __mul__(self, a: float) -> "SpatialCovector":
-        return SpatialCovector(a * self.x, a * self.y, a * self.z)
-
-    __rmul__ = __mul__
-
-    def components(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,6 +28,9 @@ __all__ = ["main"]
 
 _CSV_HEADER = "step,t,x,y,z,px,py,pz,energy"
 
+# Options whose value is a number and may start with "-".
+_SIGNED_OPTIONS = frozenset({"--boost", "--corrupt-momentum", "--tol"})
+
 
 def _fmt(value: float) -> str:
     return format(value, ".17g")
@@ -118,8 +121,29 @@ def _cmd_legendre(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Report a usage error as one ``error: ...`` line, exit code 2."""
+        self.exit(2, f"error: {message}\n")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--tol -1e-3`` as ``--tol=-1e-3`` for the signed options.
+
+    argparse would read ``-1e-3``, ``-inf`` or ``-0.7,0,0`` as an option.
+    """
+    attached: list[str] = []
+    for token in argv:
+        if (attached and attached[-1] in _SIGNED_OPTIONS
+                and token.startswith("-") and not token.startswith("--")):
+            attached[-1] += "=" + token
+        else:
+            attached.append(token)
+    return attached
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="galimech",
         description="Frame-independent Newtonian particle mechanics tools.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -157,7 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_values(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -1,7 +1,8 @@
+import dataclasses
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from galimech.chart import (
     Event,
@@ -152,3 +153,55 @@ def test_vector_arithmetic():
 def test_frames_are_immutable():
     with pytest.raises(AttributeError):
         REST_FRAME.dx = 1.0
+
+
+# Every float, signed zeros, infinities and NaN included.
+_any_float = st.floats(allow_nan=True, allow_infinity=True)
+_LINEAR = (FourVector, FourCovector, SpatialVector, SpatialCovector)
+
+
+def _hex(values):
+    return [float.hex(x) for x in values]
+
+
+@st.composite
+def _linear_operands(draw):
+    cls = draw(st.sampled_from(_LINEAR))
+    n = len(dataclasses.fields(cls))
+    a, b = (draw(st.lists(_any_float, min_size=n, max_size=n)) for _ in range(2))
+    return cls, a, b, draw(_any_float)
+
+
+@given(_linear_operands())
+def test_linear_operations_match_the_slotwise_expressions(operands):
+    """The generated methods against the float expression of each slot."""
+    cls, xs, ys, s = operands
+    a, b = cls(*xs), cls(*ys)
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert a.components() == tuple(getattr(a, name) for name in names)
+    expected = {
+        "a + b": [x + y for x, y in zip(xs, ys)],
+        "a - b": [x - y for x, y in zip(xs, ys)],
+        "-a": [-x for x in xs],
+        "s * a": [s * x for x in xs],
+        "a * s": [s * x for x in xs],
+    }
+    results = {"a + b": a + b, "a - b": a - b, "-a": -a, "s * a": s * a, "a * s": a * s}
+    for label, result in results.items():
+        assert type(result) is cls, label
+        assert _hex(result.components()) == _hex(expected[label]), label
+
+
+@given(frames, frames, st.floats(-2, 2))
+def test_frame_arithmetic_gives_plain_four_vectors(u, w, s):
+    for result in (u + w, u - w, -u, s * u, u * s, u + FourVector(0.0, 1.0, 0.0, 0.0)):
+        assert type(result) is FourVector
+
+
+@pytest.mark.parametrize("cls", _LINEAR, ids=lambda cls: cls.__name__)
+def test_linear_methods_are_named_as_written_in_the_class(cls):
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "components"):
+        method = cls.__dict__[name]
+        assert method.__qualname__ == f"{cls.__name__}.{name}"
+        assert method.__module__ == "galimech.chart"
+    assert cls.__dict__["__rmul__"] is cls.__dict__["__mul__"]

@@ -293,6 +293,71 @@ def test_no_subcommand_exits_2():
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("boost, code", [
+    ("-0.7,0,0", 0), ("-0.25,0.5,-0.125", 0), ("-inf,0,0", 2)])
+def test_signed_boost_reads_like_the_attached_form(tmp_path, capsys, boost, code):
+    cfg = write(tmp_path, FREE)
+    results = []
+    for argv, name in ((["--boost", boost], "spaced.txt"),
+                       (["--boost=" + boost], "attached.txt")):
+        out = tmp_path / name
+        code = main(["boost", "--config", cfg, *argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err,
+                        out.read_bytes() if out.exists() else None))
+    assert results[0] == results[1]
+    assert results[0][0] == code
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--corrupt-momentum", "-inf"], "corrupt-momentum: must be finite, got -inf"),
+    (["--corrupt-momentum", "-nan"], "corrupt-momentum: must be finite, got -nan"),
+], ids=["-inf", "-nan"])
+def test_boost_reads_a_signed_corruption(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.txt"
+    assert main(["boost", "--config", write(tmp_path, FREE), "--boost", "0.25,0,0",
+                 "--out", str(out), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol, message", [
+    ("-1e-3", "must be positive, got -0.001"),
+    ("-inf", "must be finite, got -inf"),
+], ids=["-1e-3", "-inf"])
+def test_verify_reads_a_signed_tolerance(capsys, tol, message):
+    assert main(["verify", "--trials", "1", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: tol: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frob"],
+    ["verify", "--trials", "abc"],
+    ["verify", "--bogus"],
+    ["simulate"],
+    ["simulate", "--config", "run.cfg", "--out", "x.csv", "--tol", "-1"],
+    ["boost", "--config", "run.cfg", "--out", "x.txt", "--boost"],
+    ["boost", "--config", "run.cfg", "--boost", "--out", "x.txt"],
+], ids=["none", "unknown-command", "trials-abc", "unknown-option", "missing-required",
+        "option-of-another-command", "missing-value", "value-is-an-option"])
+def test_usage_errors_are_one_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: galimech")
+
+
 def test_energy_column_tracks_the_oscillator(tmp_path):
     """Phase check: after a quarter period the energy is purely kinetic."""
     cfg = write(tmp_path, HARMONIC.replace("steps = 6284", "steps = 1571"))
