@@ -12,10 +12,14 @@ input, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import itertools
+import contextlib
 import math
+import os
+import shutil
 import sys
+import tempfile
 from collections.abc import Iterable, Iterator
+from typing import TextIO
 
 from .affine_values import affine_momentum, shell_function
 from .chart import Frame, SpatialCovector, SpatialVector, embed, metric
@@ -27,6 +31,9 @@ from .verify import max_event_gap, render_report, run_checks
 __all__ = ["main"]
 
 _CSV_HEADER = "step,t,x,y,z,px,py,pz,energy"
+# The step index, then a sample's eight floats: "%.17g" writes the same
+# bytes as format(v, ".17g").
+_CSV_ROW = "%d" + ",%.17g" * 8
 
 # Options whose value is a number and may start with "-".
 _SIGNED_OPTIONS = frozenset({"--boost", "--corrupt-momentum", "--tol"})
@@ -36,22 +43,45 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _csv_section(samples: Iterable[Sample]) -> Iterator[str]:
-    yield _CSV_HEADER
+def _csv_rows(samples: Iterable[Sample], handle: TextIO) -> Iterator[Sample]:
+    """Pass ``samples`` through, writing the CSV header and then each as a row."""
+    handle.write(_CSV_HEADER + "\n")
     for step, sample in enumerate(samples):
-        x, p = sample.state.x, sample.state.p
-        yield ",".join((
-            str(step), _fmt(sample.t), _fmt(x.x), _fmt(x.y), _fmt(x.z),
-            _fmt(p.x), _fmt(p.y), _fmt(p.z), _fmt(sample.energy)))
+        handle.write(_CSV_ROW % (step, *sample) + "\n")
+        yield sample
 
 
-def _write_lines(path: str, lines: Iterable[str]):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        for line in lines:
-            handle.write(line + "\n")
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """A new text file that takes ``path``'s place only if the block completes.
+
+    It is made in the directory of the file ``path`` names (through any
+    symlink), so ``os.replace`` swaps it in atomically, with the mode a
+    plain ``open`` would give it.  Whatever ends the block early removes
+    it: a failed run writes no partial output and leaves an existing file
+    as it was.  Only a regular file can be replaced; a device or a
+    directory is refused before anything is written.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise OSError(f"out: not a regular file: {path}")
+    fd, tmp = tempfile.mkstemp(prefix=".galimech-", suffix=".tmp",
+                               dir=os.path.dirname(target))
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            # Reading the umask means setting it; the restrictive value
+            # errs on the safe side for anything created in between.
+            umask = os.umask(0o077)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            yield handle
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def _run(cfg: RunConfig, u: Frame, p0: SpatialCovector) -> list[Sample]:
+def _run(cfg: RunConfig, u: Frame, p0: SpatialCovector) -> Iterator[Sample]:
     return integrate(u, cfg.mass, cfg.potential, State(cfg.x0, p0),
                      cfg.dt, cfg.steps)
 
@@ -59,7 +89,9 @@ def _run(cfg: RunConfig, u: Frame, p0: SpatialCovector) -> list[Sample]:
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     samples = _run(cfg, cfg.frame, cfg.p0)
-    _write_lines(args.out, _csv_section(samples))
+    with _replacing(args.out) as handle:
+        for _ in _csv_rows(samples, handle):
+            pass
     return 0
 
 
@@ -75,11 +107,18 @@ def _cmd_boost(args) -> int:
         p2 = p2 + SpatialCovector(corrupt, 0.0, 0.0)
     first = _run(cfg, u1, cfg.p0)
     second = _run(cfg, u2, p2)
-    discrepancy = max_event_gap(first, second)
 
-    _write_lines(args.out, itertools.chain(
-        _csv_section(first), [""], _csv_section(second),
-        ["", f"max_event_discrepancy={_fmt(discrepancy)}"]))
+    # The two runs advance together: the first section goes straight to
+    # the output, the second to a scratch file appended once both end.
+    # Samples are finite, so no gap is NaN and the fold reads both to the end.
+    with (_replacing(args.out) as handle,
+          tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as later):
+        discrepancy = max_event_gap(_csv_rows(first, handle),
+                                    _csv_rows(second, later))
+        later.seek(0)
+        handle.write("\n")
+        shutil.copyfileobj(later, handle)
+        handle.write(f"\nmax_event_discrepancy={_fmt(discrepancy)}\n")
     if discrepancy <= cfg.tol:
         return 0
     print(f"error: event discrepancy {discrepancy:.3e} exceeds tol {cfg.tol:.3e}",

@@ -10,7 +10,10 @@ The typed values are the interface; ``integrate`` runs on plain floats.
 Its kernel keeps the state in seven locals and evaluates
 ``dynamics_field`` and the RK4 combination in their exact operation
 order, so its trajectories are bit-identical to stepping the value
-objects, while each step builds only the returned sample.  The potential
+objects.  It yields each step as a flat ``Sample`` of eight floats as
+soon as the step is taken, so a trajectory is streamed, never held:
+``Sample.state`` builds the typed phase point when a caller asks for it,
+and ``list(integrate(...))`` gives the whole trajectory.  The potential
 is asked on chart coordinates, through ``differential_at(t, x, y, z)``
 and ``value_at(t, x, y, z)``: the two methods every ``Potential``
 defines, so custom kinds run through the same kernel.
@@ -19,6 +22,7 @@ defines, so custom kinds run through the same kernel.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -71,9 +75,26 @@ class Tangent:
 
 
 class Sample(NamedTuple):
+    """One trajectory point as plain floats.
+
+    The event ``(t, x, y, z)``, the spatial momentum ``(px, py, pz)`` and
+    the configured frame's hamiltonian ``energy``.
+    """
+
     t: float
-    state: State
+    x: float
+    y: float
+    z: float
+    px: float
+    py: float
+    pz: float
     energy: float
+
+    @property
+    def state(self) -> State:
+        """The typed phase point, built anew on each access."""
+        return State(Event(self.t, self.x, self.y, self.z),
+                     SpatialCovector(self.px, self.py, self.pz))
 
 
 class IntegrationDiverged(ArithmeticError):
@@ -149,11 +170,13 @@ def generate_from_lagrangian(u: Frame, mass: float, potential: Potential,
 
 
 def integrate(u: Frame, mass: float, potential: Potential, initial: State,
-              dt: float, steps: int) -> list[Sample]:
+              dt: float, steps: int) -> Iterator[Sample]:
     """Fixed-step RK4 trajectory, one sample per step plus the initial one.
 
-    Raises IntegrationDiverged as soon as any state component leaves the
-    finite floats, or the energy does.
+    The arguments are checked when ``integrate`` is called; the samples
+    are computed as the returned iterator is advanced, which raises
+    IntegrationDiverged as soon as any state component leaves the finite
+    floats, or the energy does.
     """
     _require_mass(mass)
     if not dt > 0:
@@ -162,7 +185,14 @@ def integrate(u: Frame, mass: float, potential: Potential, initial: State,
         raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps!r}")
+    x, p = initial.x, initial.p
+    first = Sample(x.t, x.x, x.y, x.z, p.x, p.y, p.z,
+                   hamiltonian(mass, potential, x, p))
+    return _rk4(u, mass, potential, first, dt, steps)
 
+
+def _rk4(u: Frame, mass: float, potential: Potential, first: Sample,
+         dt: float, steps: int) -> Iterator[Sample]:
     # The kernel: ``dynamics_field`` and the RK4 combination on plain
     # floats, in exactly their operation order, so every bit matches the
     # value-object form.  The time slot of every rate is the frame's 1.
@@ -171,10 +201,11 @@ def integrate(u: Frame, mass: float, potential: Potential, initial: State,
     ux, uy, uz = u.dx, u.dy, u.dz
     h, hh, sixth = dt, 0.5 * dt, 1.0 / 6.0
     ht = h * (sixth * 6.0)
-    t, x, y, z = initial.x.t, initial.x.x, initial.x.y, initial.x.z
-    px, py, pz = initial.p.x, initial.p.y, initial.p.z
+    t, x, y, z, px, py, pz, _ = first
+    # ``tuple.__new__`` skips the keyword-handling ``Sample.__new__``.
+    new = tuple.__new__
 
-    samples = [Sample(t, initial, hamiltonian(mass, potential, initial.x, initial.p))]
+    yield first
     for step in range(1, steps + 1):
         ax1, ay1, az1 = px * inv_mass + ux, py * inv_mass + uy, pz * inv_mass + uz
         _, gx, gy, gz = dphi(t, x, y, z)
@@ -209,6 +240,4 @@ def integrate(u: Frame, mass: float, potential: Potential, initial: State,
         energy = 0.5 * (px * px + py * py + pz * pz) / mass + value(t, x, y, z)
         if not math.isfinite(energy):
             raise IntegrationDiverged(f"energy left finite range at step {step}")
-        samples.append(Sample(t, State(Event(t, x, y, z),
-                                       SpatialCovector(px, py, pz)), energy))
-    return samples
+        yield new(Sample, (t, x, y, z, px, py, pz, energy))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from . import affine_values as av
@@ -162,7 +163,7 @@ def _momentum_kick(rng) -> FourCovector:
 # trajectory helpers (shared with the CLI and the acceptance gate)
 
 def _trajectory(u: Frame, mass: float, potential: Potential, x0: Event,
-                v_phys: Frame, dt: float, steps: int) -> list[fd.Sample]:
+                v_phys: Frame, dt: float, steps: int) -> Iterator[fd.Sample]:
     """``u``'s trajectory of a particle released at ``x0`` with four-velocity ``v_phys``."""
     state, _ = fd.generate_from_lagrangian(u, mass, potential, x0, v_phys)
     return fd.integrate(u, mass, potential, state, dt, steps)
@@ -176,13 +177,21 @@ def trajectory_discrepancy(u1: Frame, u2: Frame, mass: float,
                          _trajectory(u2, mass, potential, x0, v_phys, dt, steps))
 
 
-def max_event_gap(first: list[fd.Sample], second: list[fd.Sample]) -> float:
-    """Worst event gap between two trajectories, compared step by step."""
-    return _worst(_gap(a.state.x, b.state.x) for a, b in zip(first, second))
+def _event_gap(a: fd.Sample, b: fd.Sample) -> float:
+    """Worst gap between two samples' events, the slots ``t, x, y, z``."""
+    return _worst(abs(x - y) for x, y in zip(a[:4], b[:4]))
+
+
+def max_event_gap(first: Iterable[fd.Sample], second: Iterable[fd.Sample]) -> float:
+    """Worst event gap between two trajectories, compared step by step.
+
+    Both are consumed together, one sample of each at a time.
+    """
+    return _worst(map(_event_gap, first, second))
 
 
 def rest_energy_drift(u: Frame, mass: float, potential: Potential,
-                      samples: list[fd.Sample]) -> float:
+                      samples: Iterable[fd.Sample]) -> float:
     """Relative drift of the rest-chart energy rebuilt from each sample.
 
     The frame's own hamiltonian is conserved only when the potential is
@@ -190,13 +199,14 @@ def rest_energy_drift(u: Frame, mass: float, potential: Potential,
     quantity every run must conserve.
     """
     def rebuilt(sample: fd.Sample) -> float:
-        w = metric_inv(sample.state.p * (1.0 / mass)) + u.boost()
-        return (0.5 * mass * pair_spatial(metric(w), w)
-                + potential.value(sample.state.x))
+        state = sample.state
+        w = metric_inv(state.p * (1.0 / mass)) + u.boost()
+        return 0.5 * mass * pair_spatial(metric(w), w) + potential.value(state.x)
 
-    first = rebuilt(samples[0])
+    energies = map(rebuilt, samples)
+    first = next(energies)
     scale = max(1.0, abs(first))
-    return _worst(abs(rebuilt(s) - first) for s in samples) / scale
+    return _worst(abs(e - first) for e in chain((first,), energies)) / scale
 
 
 # The canonical case: a unit-mass oscillator released at unit amplitude,
@@ -309,10 +319,11 @@ def _check_energy_conservation(rng: random.Random, i: int) -> float:
         phi = _harmonic(rng)
         u = REST_FRAME
     mass, x0, p0 = _mass(rng), _event(rng), _spatial_covector(rng)
-    samples = fd.integrate(u, mass, phi, fd.State(x0, p0), 1e-3, 1000)
-    h0 = samples[0].energy
+    energies = [s.energy for s in fd.integrate(u, mass, phi, fd.State(x0, p0),
+                                               1e-3, 1000)]
+    h0 = energies[0]
     scale = max(1.0, abs(h0))
-    return _worst(abs(s.energy - h0) for s in samples) / scale
+    return _worst(abs(e - h0) for e in energies) / scale
 
 
 def _check_free_particle(rng: random.Random, i: int) -> float:

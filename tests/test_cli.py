@@ -1,11 +1,14 @@
 import contextlib
 import io
 import math
+import os
+import stat
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from galimech.cli import main
+from galimech.cli import _CSV_ROW, main
 from galimech.verify import CHECKS
 
 HEADER = "step,t,x,y,z,px,py,pz,energy"
@@ -135,6 +138,97 @@ def test_divergence_exits_3(tmp_path):
                 .replace("steps = 6284", "steps = 500"))
     assert main(["simulate", "--config", cfg,
                  "--out", str(tmp_path / "x.csv")]) == 3
+
+
+DIVERGING = HARMONIC.replace("dt = 1e-3", "dt = 10").replace("steps = 6284", "steps = 500")
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--config", "{cfg}"],
+    ["boost", "--config", "{cfg}", "--boost", "0.5,0,0"],
+], ids=["simulate", "boost"])
+@pytest.mark.parametrize("existing, code", [
+    ("file", 3), ("dir", 2), ("fifo", 2),
+])
+def test_failed_run_leaves_the_output_directory_as_it_was(tmp_path, command, existing, code):
+    """A blow-up (exit 3) or an --out that is no regular file (exit 2) writes nothing.
+
+    The config diverges, so a run that reached the output would exit 3.
+    """
+    cfg = write(tmp_path, DIVERGING)
+    out = tmp_path / "run.csv"
+    if existing == "file":
+        out.write_bytes(b"step,earlier\r\n0,run\r\n")
+    elif existing == "dir":
+        out.mkdir()
+    else:
+        os.mkfifo(out)
+    before = sorted(os.listdir(tmp_path))
+    assert main([arg.format(cfg=cfg) for arg in command] + ["--out", str(out)]) == code
+    assert sorted(os.listdir(tmp_path)) == before
+    if existing == "file":
+        assert out.read_bytes() == b"step,earlier\r\n0,run\r\n"
+    elif existing == "dir":
+        assert os.listdir(out) == []
+    else:
+        assert stat.S_ISFIFO(out.stat().st_mode)
+
+
+def test_output_through_a_symlink_rewrites_its_target(tmp_path):
+    cfg = write(tmp_path, FREE)
+    fresh, target, link = tmp_path / "fresh.csv", tmp_path / "target.csv", tmp_path / "link.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(fresh)]) == 0
+    target.write_text("stale\n")
+    link.symlink_to(target)
+    assert main(["simulate", "--config", cfg, "--out", str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["boost", "--boost", "0.5,0,0"]])
+def test_output_replaces_an_existing_file_with_the_default_mode(tmp_path, command):
+    cfg = write(tmp_path, FREE)
+    fresh, out = tmp_path / "fresh.csv", tmp_path / "run.csv"
+    argv = [command[0], "--config", cfg, *command[1:], "--out"]
+    assert main(argv + [str(fresh)]) == 0
+    out.write_text("stale\n" * 1000)
+    os.chmod(out, 0o600)
+    assert main(argv + [str(out)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["fresh.csv", "run.cfg", "run.csv"]
+    umask = os.umask(0o077)
+    os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+
+_row_floats = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300, 1e-300,
+     0.1, 1.7976931348623157e308]))
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 10**18), st.tuples(*[_row_floats] * 8))
+@example(2**63 + 1, (-0.0, 5e-324, 1e300, -1e300, 1e-310, 0.1, 1 / 3, -2.5))
+def test_csv_row_format_writes_the_17_digit_bytes(step, row):
+    want = ",".join((str(step), *(format(v, ".17g") for v in row)))
+    assert _CSV_ROW % (step, *row) == want
+
+
+def _simulate_peak_bytes(tmp_path, steps: int) -> int:
+    cfg = write(tmp_path, HARMONIC.replace("steps = 6284", f"steps = {steps}"))
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run.csv")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_does_not_grow_with_steps(tmp_path):
+    """Rows are streamed to the file: 20x the steps stays within 2x the memory."""
+    _simulate_peak_bytes(tmp_path, 1000)  # warm-up: lazy imports and caches
+    small = _simulate_peak_bytes(tmp_path, 1000)
+    large = _simulate_peak_bytes(tmp_path, 20000)
+    assert large <= 2 * small, (small, large)
 
 
 def test_boost_zero_is_exact(tmp_path):

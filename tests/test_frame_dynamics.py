@@ -107,7 +107,7 @@ def test_free_particle_matches_uniform_motion():
     x0 = Event(0.0, 1.0, -0.5, 0.25)
     p0 = SpatialCovector(1.0, -2.0, 0.5)
     v = metric_inv(p0 * (1.0 / mass)) + u.boost()
-    samples = integrate(u, mass, ZeroPotential(), State(x0, p0), 0.125, 16)
+    samples = list(integrate(u, mass, ZeroPotential(), State(x0, p0), 0.125, 16))
     assert len(samples) == 17
     for n, sample in enumerate(samples):
         t = 0.125 * n
@@ -121,10 +121,10 @@ def test_free_particle_matches_uniform_motion():
 
 
 def test_harmonic_rest_frame_matches_closed_form():
-    samples = integrate(REST_FRAME, 1.0, HarmonicPotential(1.0, ORIGIN),
-                        State(Event(0.0, 1.0, 0.0, 0.0),
-                              SpatialCovector(0.0, 0.0, 0.0)),
-                        1e-3, 1000)
+    samples = list(integrate(REST_FRAME, 1.0, HarmonicPotential(1.0, ORIGIN),
+                             State(Event(0.0, 1.0, 0.0, 0.0),
+                                   SpatialCovector(0.0, 0.0, 0.0)),
+                             1e-3, 1000))
     for sample in samples:
         t = sample.t
         assert sample.state.x.x == pytest.approx(math.cos(t), abs=1e-10)
@@ -144,8 +144,8 @@ def test_harmonic_boosted_frame_matches_closed_form():
     v_phys = v_rel + u.boost()
     p0 = metric(v_rel) * mass
     omega = math.sqrt(kappa / mass)
-    samples = integrate(u, mass, HarmonicPotential(kappa, center),
-                        State(x0, p0), 1e-3, 1000)
+    samples = list(integrate(u, mass, HarmonicPotential(kappa, center),
+                             State(x0, p0), 1e-3, 1000))
     for sample in samples[::100]:
         t = sample.t
         c, s = math.cos(omega * t), math.sin(omega * t)
@@ -170,10 +170,10 @@ def test_energy_column_is_current_hamiltonian():
 
 def test_unstable_step_raises():
     with pytest.raises(IntegrationDiverged):
-        integrate(REST_FRAME, 1.0, HarmonicPotential(1.0, ORIGIN),
-                  State(Event(0.0, 1.0, 0.0, 0.0),
-                        SpatialCovector(0.0, 0.0, 0.0)),
-                  10.0, 500)
+        list(integrate(REST_FRAME, 1.0, HarmonicPotential(1.0, ORIGIN),
+                       State(Event(0.0, 1.0, 0.0, 0.0),
+                             SpatialCovector(0.0, 0.0, 0.0)),
+                       10.0, 500))
 
 
 def test_integrate_validates_arguments():
@@ -193,3 +193,19 @@ def test_integrate_rejects_non_integer_steps(steps):
     state = State(ORIGIN, SpatialCovector(0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="steps must be an integer"):
         integrate(REST_FRAME, 1.0, ZeroPotential(), state, 1e-3, steps)
+
+
+@pytest.mark.parametrize("mass, dt, message", [
+    (1.0, 0.0, "dt must be positive"),
+    (1.0, -1e-3, "dt must be positive"),
+    (1.0, math.nan, "dt must be positive"),
+    (0.0, 1e-3, "mass must be positive and finite"),
+    (-2.0, 1e-3, "mass must be positive and finite"),
+    (math.inf, 1e-3, "mass must be positive and finite"),
+    (math.nan, 1e-3, "mass must be positive and finite"),
+])
+def test_integrate_checks_dt_and_mass_when_called(mass, dt, message):
+    """The trajectory is lazy, the argument checks are not: no ``next`` is needed."""
+    state = State(ORIGIN, SpatialCovector(0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match=message):
+        integrate(REST_FRAME, mass, ZeroPotential(), state, dt, 10)

@@ -3,8 +3,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from galimech import affine_values, homogeneous, verify
+from galimech import affine_values, frame_dynamics, homogeneous, verify
 from galimech.chart import (
     Event,
     Frame,
@@ -13,7 +14,7 @@ from galimech.chart import (
     REST_FRAME,
     SpatialCovector,
 )
-from galimech.frame_dynamics import State, generate_from_lagrangian, integrate
+from galimech.frame_dynamics import Sample, State, generate_from_lagrangian, integrate
 from galimech.potentials import ZeroPotential
 from galimech.verify import (
     CHECKS,
@@ -21,6 +22,7 @@ from galimech.verify import (
     CheckResult,
     canonical_discrepancy,
     canonical_energy_drift,
+    max_event_gap,
     render_report,
     rest_energy_drift,
     run_checks,
@@ -174,3 +176,35 @@ def test_free_particle_conserves_rest_energy_exactly():
 def test_canonical_case_meets_the_published_gates():
     assert canonical_discrepancy() <= 1e-6
     assert canonical_energy_drift() <= 1e-8
+
+
+_samples = st.lists(st.builds(Sample, *[st.floats()] * 8), min_size=1, max_size=6)
+
+
+@settings(max_examples=150)
+@given(_samples, _samples)
+def test_max_event_gap_matches_the_typed_event_fold(first, second):
+    """Bit-identical to folding ``_gap`` over the typed events, NaN included."""
+    want = verify._worst(verify._gap(a.state.x, b.state.x) for a, b in zip(first, second))
+    got = max_event_gap(iter(first), iter(second))
+    assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
+
+
+def test_trajectory_helpers_stream_and_build_few_states(monkeypatch):
+    """The event gap reads floats; the rest energy builds each state once."""
+    built = []
+    state = Sample.state.fget
+
+    def counted(sample):
+        built.append(sample)
+        return state(sample)
+    monkeypatch.setattr(frame_dynamics.Sample, "state", property(counted))
+    u = Frame(1.0, 0.25, 0.0, 0.0)
+    initial = State(Event(0.0, 1.0, 0.0, 0.0), SpatialCovector(1.0, -0.5, 0.25))
+    trajectory = integrate(u, 2.0, ZeroPotential(), initial, 0.01, 20)
+    assert max_event_gap(trajectory, integrate(REST_FRAME, 2.0, ZeroPotential(),
+                                               initial, 0.01, 20)) > 0.0
+    assert built == []
+    rest_energy_drift(u, 2.0, ZeroPotential(), integrate(u, 2.0, ZeroPotential(),
+                                                         initial, 0.01, 20))
+    assert len(built) == 21
