@@ -9,6 +9,11 @@ frame-dependent constructions through them.
 Class equality is componentwise equality of the stored normal form; the
 defining cross-frame relations are exercised by the verification suites
 rather than used as the runtime representation.
+
+Typed values are the interface; inside, the frame shift and the momentum
+re-expressions read slots as floats and build only the values they
+return, in the operation order of the typed expression each slot stands
+for.
 """
 
 from __future__ import annotations
@@ -21,11 +26,8 @@ from .chart import (
     FourCovector,
     FourVector,
     REST_FRAME,
-    SpatialVector,
     TIME_FORM,
     cometric,
-    dual_lift,
-    metric,
     pair,
 )
 from .homogeneous import (MEMBER_TOL, TIME_RATE_FLOOR, _characteristic, _require_mass,
@@ -62,12 +64,19 @@ def frame_shift(u1: Frame, u2: Frame) -> FourCovector:
     Antisymmetric and additive along chains of frames:
     frame_shift(a, b) = -frame_shift(b, a) and
     frame_shift(c, b) + frame_shift(b, a) = frame_shift(c, a).
-    Evaluating at the midpoint frame is what makes both laws exact.
+    Evaluating at the midpoint frame is what makes both laws exact.  The
+    slots are those of dual_lift(mid, metric(delta)), for the midpoint
+    frame ``mid`` and the boost difference ``delta``, built directly.
     """
-    mid = Frame(1.0, 0.5 * (u1.dx + u2.dx), 0.5 * (u1.dy + u2.dy),
-                0.5 * (u1.dz + u2.dz))
-    delta = SpatialVector(u1.dx - u2.dx, u1.dy - u2.dy, u1.dz - u2.dz)
-    return dual_lift(mid, metric(delta))
+    mx, my, mz = 0.5 * (u1.dx + u2.dx), 0.5 * (u1.dy + u2.dy), 0.5 * (u1.dz + u2.dz)
+    qx, qy, qz = u1.dx - u2.dx, u1.dy - u2.dy, u1.dz - u2.dz
+    return FourCovector(-(qx * mx + qy * my + qz * mz), qx, qy, qz)
+
+
+def _shifted(p: FourCovector, mass: float, shift: FourCovector) -> FourCovector:
+    """p + mass * shift, built as the one covector it is."""
+    return FourCovector(p.pt + mass * shift.pt, p.px + mass * shift.px,
+                        p.py + mass * shift.py, p.pz + mass * shift.pz)
 
 
 def _require_same_mass(a: float, b: float):
@@ -137,7 +146,7 @@ def fiber_difference(a: LagrangianValue, b: LagrangianValue) -> float:
     Defined only for values over the same velocity.
     """
     _require_same_mass(a.mass, b.mass)
-    if not _within(a.velocity - b.velocity, _FIBER_TOL):
+    if not _within(a.velocity, b.velocity, _FIBER_TOL):
         raise ValueError("values lie over different velocities")
     return b.value - a.value
 
@@ -170,13 +179,13 @@ class AffineMomentum:
 
 def affine_momentum(mass: float, frame: Frame, p: FourCovector) -> AffineMomentum:
     """Class of the momentum ``p`` as reported by ``frame``."""
-    return AffineMomentum(mass, p + mass * frame_shift(frame, REST_FRAME))
+    return AffineMomentum(mass, _shifted(p, mass, frame_shift(frame, REST_FRAME)))
 
 
 def momentum_transport(mass: float, u_from: Frame, u_to: Frame,
                        p: FourCovector) -> FourCovector:
     """Re-express a momentum report in another frame, same class."""
-    return p + mass * frame_shift(u_from, u_to)
+    return _shifted(p, mass, frame_shift(u_from, u_to))
 
 
 def shell_function(momentum: AffineMomentum) -> float:
@@ -236,5 +245,5 @@ def is_universal_member(potential: Potential, x: Event,
     if not abs(shell_function(momentum) + potential.value(x)) <= MEMBER_TOL:
         return False
     want = _characteristic(REST_FRAME, momentum.mass, potential, x, momentum.p, r)
-    return (_within(xdot - want.xdot, MEMBER_TOL)
-            and _within(pdot - want.pdot, MEMBER_TOL))
+    return (_within(xdot, want.xdot, MEMBER_TOL)
+            and _within(pdot, want.pdot, MEMBER_TOL))

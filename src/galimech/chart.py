@@ -192,13 +192,18 @@ def embed(w: SpatialVector) -> FourVector:
     return FourVector(0.0, w.x, w.y, w.z)
 
 
+def _relative(u: Frame, v: FourVector) -> tuple[float, float, float]:
+    """The slots of ``project(u, v)``, for callers that read them as floats."""
+    s = v.dt
+    return v.dx - s * u.dx, v.dy - s * u.dy, v.dz - s * u.dz
+
+
 def project(u: Frame, v: FourVector) -> SpatialVector:
     """Velocity of ``v`` relative to the observer ``u``.
 
     Splits off the time component: v = embed(project(u, v)) + pair(TIME_FORM, v) * u.
     """
-    s = v.dt
-    return SpatialVector(v.dx - s * u.dx, v.dy - s * u.dy, v.dz - s * u.dz)
+    return SpatialVector(*_relative(u, v))
 
 
 def restrict(p: FourCovector) -> SpatialCovector:

@@ -4,6 +4,10 @@ Phase points carry a full four-covector momentum and trajectories may be
 traversed at any positive time rate; the reporting frame only decides
 how the energy slot of the momentum is split off.  All evaluation maps
 guard against the singular zero-time-rate boundary.
+
+Typed chart values are the interface; inside, the maps read their slots
+as floats and build only the values they return, in the operation order
+of the typed expression each slot stands for.
 """
 
 from __future__ import annotations
@@ -17,11 +21,8 @@ from .chart import (
     FourCovector,
     FourVector,
     TIME_FORM,
-    cometric,
-    metric,
+    _relative,
     pair,
-    pair_spatial,
-    project,
 )
 from .potentials import Potential
 
@@ -83,9 +84,12 @@ def _require_time_rate(time_rate: float):
         raise ValueError(f"time rate must be positive, got {time_rate!r}")
 
 
-def _within(d, tol: float) -> bool:
-    """Whether every slot of ``d`` is at most ``tol``; a NaN slot is not."""
-    return all(abs(c) <= tol for c in d.components())
+def _within(a, b, tol: float) -> bool:
+    """Whether every slot of ``a - b`` is at most ``tol``; a NaN slot is not.
+
+    The differences are taken slot by slot; no difference value is built.
+    """
+    return all(abs(x - y) <= tol for x, y in zip(a.components(), b.components()))
 
 
 def homogeneous_lagrangian(u: Frame, mass: float, potential: Potential,
@@ -96,8 +100,8 @@ def homogeneous_lagrangian(u: Frame, mass: float, potential: Potential,
     """
     _require_mass(mass)
     s = _time_rate(v)
-    w = project(u, v)
-    return 0.5 * mass / s * pair_spatial(metric(w), w) - s * potential.value(x)
+    wx, wy, wz = _relative(u, v)
+    return 0.5 * mass / s * (wx * wx + wy * wy + wz * wz) - s * potential.value(x)
 
 
 def lagrangian_differential(u: Frame, mass: float, potential: Potential,
@@ -139,9 +143,9 @@ def _shell_energy(u: Frame, mass: float, phi: float, px: float, py: float,
 
 def _legendre(u: Frame, mass: float, potential: Potential, x: Event,
               v: FourVector, s: float) -> FourCovector:
-    w = project(u, v)
+    wx, wy, wz = _relative(u, v)
     a = mass / s
-    px, py, pz = a * w.x, a * w.y, a * w.z
+    px, py, pz = a * wx, a * wy, a * wz
     # The time slot balances the stored spatial slots on the mass shell.
     pt = -_shell_energy(u, mass, potential.value(x), px, py, pz)
     return FourCovector(pt, px, py, pz)
@@ -200,10 +204,10 @@ def is_dynamics_member(u: Frame, mass: float, potential: Potential,
     if not s > TIME_RATE_FLOOR:
         return False
     want_p = _legendre(u, mass, potential, point.x, velocity.xdot, s)
-    if not _within(point.p - want_p, tol):
+    if not _within(point.p, want_p, tol):
         return False
     want_pdot = potential.differential(point.x) * (-s)
-    return _within(velocity.pdot - want_pdot, tol)
+    return _within(velocity.pdot, want_pdot, tol)
 
 
 def generating_family(u: Frame, mass: float, potential: Potential, x: Event,
@@ -225,9 +229,16 @@ def reduced_family(u: Frame, mass: float, potential: Potential, x: Event,
 
 def _characteristic(u: Frame, mass: float, potential: Potential, x: Event,
                     p: FourCovector, rate: float) -> PhaseVelocity:
-    """The hamiltonian generator at ``rate`` through (x, p), shell unchecked."""
-    return PhaseVelocity((cometric(p) * (1.0 / mass) + u) * rate,
-                         potential.differential(x) * (-rate))
+    """The hamiltonian generator at ``rate`` through (x, p), shell unchecked.
+
+    The position rate is (cometric(p) * (1 / mass) + u) * rate, one slot
+    at a time.  Its ``a * 0.0`` term is cometric's zero time slot: it
+    stays, as an infinite 1 / mass makes it NaN.
+    """
+    a = 1.0 / mass
+    xdot = FourVector(rate * (a * 0.0 + u.dt), rate * (a * p.px + u.dx),
+                      rate * (a * p.py + u.dy), rate * (a * p.pz + u.dz))
+    return PhaseVelocity(xdot, potential.differential(x) * (-rate))
 
 
 def characteristic_field(u: Frame, mass: float, potential: Potential,

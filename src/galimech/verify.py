@@ -1,12 +1,13 @@
 """Property verification suites behind ``galimech verify``.
 
 Each suite is written as one trial; ``run_checks`` draws trial i from
-``random.Random(seed + i)``, so reports are reproducible and trials are
-independent.  Numeric suites report their worst error against a
-per-suite tolerance; verdict suites, gated at zero, report the sum of
-their disagreement counts.  A NaN error always fails its suite.
-Trajectory-backed suites cap their case count: a thousand integrations
-would add wall time, not coverage.
+one generator reseeded with ``seed + i``, the stream of
+``random.Random(seed + i)``, so reports are reproducible, trials are
+independent and any trial replays alone.  Numeric suites report their
+worst error against a per-suite tolerance; verdict suites, gated at
+zero, report the sum of their disagreement counts.  A NaN error always
+fails its suite.  Trajectory-backed suites cap their case count: a
+thousand integrations would add wall time, not coverage.
 """
 
 from __future__ import annotations
@@ -659,12 +660,30 @@ CHECKS: tuple[Check, ...] = (
 )
 
 
+def _trial_errors(trial: Callable, rng: random.Random, seed: int,
+                  n: int) -> Iterator[float]:
+    """Errors of trials 0..n-1, lazily; ``rng`` is reseeded before each.
+
+    ``seed`` also clears the cached ``gauss`` draw, so trial i sees the
+    stream of a fresh ``random.Random(seed + i)``.
+    """
+    for i in range(n):
+        rng.seed(seed + i)
+        yield trial(rng, i)
+
+
 def run_checks(trials: int = 1000, seed: int = 42,
                tolerance: float | None = None,
                names: list[str] | None = None) -> list[CheckResult]:
-    """Run suites in registry order; ``tolerance`` overrides every gate."""
+    """Run suites in registry order; ``tolerance`` overrides every gate.
+
+    ``seed`` must be non-negative: ``random`` seeds with the absolute
+    value of an int, so a negative seed would repeat trials.
+    """
     if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials!r}")
+        raise ValueError(f"trials: must be at least 1, got {trials!r}")
+    if seed < 0:
+        raise ValueError(f"seed: must be at least 0, got {seed!r}")
     selected = CHECKS
     if names is not None:
         wanted = set(names)
@@ -672,11 +691,12 @@ def run_checks(trials: int = 1000, seed: int = 42,
         if unknown:
             raise ValueError(f"unknown check names: {sorted(unknown)}")
         selected = tuple(check for check in CHECKS if check.name in wanted)
+    rng = random.Random()
     results = []
     for check in selected:
         n = trials if check.max_trials is None else min(trials, check.max_trials)
         fold = sum if check.tolerance == 0.0 else _worst
-        error = fold(check.trial(random.Random(seed + i), i) for i in range(n))
+        error = fold(_trial_errors(check.trial, rng, seed, n))
         gate = check.tolerance if tolerance is None else tolerance
         results.append(CheckResult(check.name, n, error, gate))
     return results

@@ -379,8 +379,20 @@ def test_verify_tolerance_follows_the_config_rules(capsys, tol, message):
     assert captured.out == ""
 
 
-def test_verify_rejects_zero_trials():
+def test_verify_rejects_zero_trials(capsys):
     assert main(["verify", "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: trials: must be at least 1, got 0\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("seed", ["-1", "-500"])
+def test_verify_rejects_a_negative_seed(capsys, seed):
+    # random seeds with |seed|, so seed -500 would replay trials of seed 0.
+    assert main(["verify", "--trials", "1", "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: seed: must be at least 0, got {seed}\n"
+    assert captured.out == ""
 
 
 def test_no_subcommand_exits_2():

@@ -58,6 +58,28 @@ def test_trials_must_be_positive():
         run_checks(trials=0)
 
 
+def test_negative_seeds_are_rejected():
+    # Random(-k) is Random(k): seed -500 would run only 501 distinct trials.
+    assert random.Random(-3).random() == random.Random(3).random()
+    with pytest.raises(ValueError, match="seed: must be at least 0, got -1"):
+        run_checks(trials=1, seed=-1, names=["splitting-identity"])
+
+
+def test_each_trial_replays_from_a_fresh_generator(monkeypatch):
+    # One generator serves every trial; reseeding must also drop the
+    # second normal deviate that gauss caches.
+    seen = []
+
+    def trial(rng, i):
+        seen.append((rng.gauss(0.0, 1.0), rng.random()))
+        return 0.0
+
+    monkeypatch.setattr(verify, "CHECKS", (Check("gauss", 1.0, trial),))
+    run_checks(trials=4, seed=11)
+    fresh = [random.Random(11 + i) for i in range(4)]
+    assert seen == [(rng.gauss(0.0, 1.0), rng.random()) for rng in fresh]
+
+
 def test_tolerance_override_applies_to_every_gate():
     # Finite differencing cannot reach 1e-16, while a zero-mismatch
     # verdict survives any override.
