@@ -85,10 +85,7 @@ def _require_time_rate(time_rate: float):
 
 
 def _within(a, b, tol: float) -> bool:
-    """Whether every slot of ``a - b`` is at most ``tol``; a NaN slot is not.
-
-    The differences are taken slot by slot; no difference value is built.
-    """
+    """Whether every slot of ``a - b`` is at most ``tol``; a NaN slot is not."""
     return all(abs(x - y) <= tol for x, y in zip(a.components(), b.components()))
 
 
