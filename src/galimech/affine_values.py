@@ -18,8 +18,6 @@ for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chart import (
     Event,
     Frame,
@@ -27,6 +25,7 @@ from .chart import (
     FourVector,
     REST_FRAME,
     TIME_FORM,
+    _frozen,
     cometric,
     pair,
 )
@@ -84,7 +83,7 @@ def _require_same_mass(a: float, b: float):
         raise ValueError(f"mass mismatch: {a!r} vs {b!r}")
 
 
-@dataclass(frozen=True)
+@_frozen
 class LagrangianValue:
     """Frame-free action value over a four-velocity.
 
@@ -105,11 +104,6 @@ class LagrangianValue:
         _require_same_mass(self.mass, other.mass)
         return LagrangianValue(self.mass, self.velocity + other.velocity,
                                self.value + other.value)
-
-    def __sub__(self, other: "LagrangianValue") -> "LagrangianValue":
-        _require_same_mass(self.mass, other.mass)
-        return LagrangianValue(self.mass, self.velocity - other.velocity,
-                               self.value - other.value)
 
     def __neg__(self) -> "LagrangianValue":
         return LagrangianValue(self.mass, -self.velocity, -self.value)
@@ -162,7 +156,7 @@ def affine_lagrangian(mass: float, potential: Potential, x: Event,
                             homogeneous_lagrangian(frame, mass, potential, x, v))
 
 
-@dataclass(frozen=True)
+@_frozen
 class AffineMomentum:
     """Frame-free particle momentum, stored as the rest-chart representative."""
 

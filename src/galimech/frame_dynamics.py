@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .chart import (
@@ -31,6 +30,7 @@ from .chart import (
     Frame,
     SpatialCovector,
     SpatialVector,
+    _frozen,
     metric,
     metric_inv,
     pair_spatial,
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class State:
     """Instantaneous phase point: position event and spatial momentum."""
 
@@ -62,7 +62,7 @@ class State:
     p: SpatialCovector
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class Tangent:
     """Rate of change of a state along the time parameter.
 

@@ -13,7 +13,6 @@ of the typed expression each slot stands for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .chart import (
     Event,
@@ -21,6 +20,7 @@ from .chart import (
     FourCovector,
     FourVector,
     TIME_FORM,
+    _frozen,
     _relative,
     pair,
 )
@@ -50,7 +50,7 @@ TIME_RATE_FLOOR = 1e-12
 MEMBER_TOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class PhasePoint:
     """Event plus full four-covector momentum."""
 
@@ -58,7 +58,7 @@ class PhasePoint:
     p: FourCovector
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class PhaseVelocity:
     """Rate of change of a phase point along an arbitrary parameter."""
 
@@ -122,8 +122,10 @@ def _shell_energy(u: Frame, mass: float, phi: float, px: float, py: float,
     Each float slot is an integer over a power of two, so the sum is one
     integer over 2·m_num·D, D the largest term denominator, and int / int
     rounds it correctly: the near-cancelling shell terms cannot bury the
-    1e-12 shell tolerance.  Slots convert in argument order (p, mass, u,
-    phi, pt, u.dt), so the first non-finite one names the error.
+    1e-12 shell tolerance.  Each axis's kinetic and drift terms share the
+    denominator b·b·f of p = a/b and u = e/f, which leaves five terms.
+    Slots convert in argument order (p, mass, u, phi, pt, u.dt), so the
+    first non-finite one names the error.
     """
     (ax, bx), (ay, by) = px.as_integer_ratio(), py.as_integer_ratio()
     (az, bz), (mn, md) = pz.as_integer_ratio(), mass.as_integer_ratio()
@@ -131,11 +133,12 @@ def _shell_energy(u: Frame, mass: float, phi: float, px: float, py: float,
     (ez, fz), (h, hd) = u.dz.as_integer_ratio(), phi.as_integer_ratio()
     (c, cd), (e, ed) = pt.as_integer_ratio(), u.dt.as_integer_ratio()
     m2 = 2 * mn
-    nums = (ax * ax * md, ay * ay * md, az * az * md,
-            m2 * ax * ex, m2 * ay * ey, m2 * az * ez, m2 * h, m2 * c * e)
-    dens = (bx * bx, by * by, bz * bz, bx * fx, by * fy, bz * fz, hd, cd * ed)
-    d = max(dens)
-    return sum([n * (d // k) for n, k in zip(nums, dens)]) / (m2 * d)
+    kx, ky, kz, ke = bx * bx * fx, by * by * fy, bz * bz * fz, cd * ed
+    d = max(kx, ky, kz, hd, ke)
+    return ((ax * (ax * md * fx + m2 * ex * bx) * (d // kx)
+             + ay * (ay * md * fy + m2 * ey * by) * (d // ky)
+             + az * (az * md * fz + m2 * ez * bz) * (d // kz)
+             + m2 * (h * (d // hd) + c * e * (d // ke))) / (m2 * d))
 
 
 def _legendre(u: Frame, mass: float, potential: Potential, x: Event,

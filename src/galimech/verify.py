@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain
+from operator import sub
 from typing import Callable, Iterable, Iterator
 
 from . import affine_values as av
@@ -57,51 +58,63 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# samplers
+# samplers: each draw is ``a + (b - a) * rng.random()``, what
+# ``rng.uniform(a, b)`` computes, less its Python frame; every ``b - a``
+# here is exact, so it is written as its value.
 
 def _scalar(rng) -> float:
-    return rng.uniform(-2.0, 2.0)
+    return -2.0 + 4.0 * rng.random()
 
 
 def _mass(rng) -> float:
-    return rng.uniform(0.5, 3.0)
+    return 0.5 + 2.5 * rng.random()
 
 
 def _time_rate(rng) -> float:
-    return rng.uniform(0.1, 3.0)
+    return 0.1 + 2.9 * rng.random()
 
 
 def _frame(rng) -> Frame:
-    return Frame(1.0, _scalar(rng), _scalar(rng), _scalar(rng))
+    r = rng.random
+    return Frame(1.0, -2.0 + 4.0 * r(), -2.0 + 4.0 * r(), -2.0 + 4.0 * r())
 
 
 def _four_vector(rng) -> FourVector:
-    return FourVector(_scalar(rng), _scalar(rng), _scalar(rng), _scalar(rng))
+    r = rng.random
+    return FourVector(-2.0 + 4.0 * r(), -2.0 + 4.0 * r(), -2.0 + 4.0 * r(),
+                      -2.0 + 4.0 * r())
 
 
 def _four_velocity(rng) -> FourVector:
     """Future-directed four-velocity with time rate in [0.1, 3]."""
-    return FourVector(_time_rate(rng), _scalar(rng), _scalar(rng), _scalar(rng))
+    r = rng.random
+    return FourVector(0.1 + 2.9 * r(), -2.0 + 4.0 * r(), -2.0 + 4.0 * r(),
+                      -2.0 + 4.0 * r())
 
 
 def _four_covector(rng) -> FourCovector:
-    return FourCovector(_scalar(rng), _scalar(rng), _scalar(rng), _scalar(rng))
+    r = rng.random
+    return FourCovector(-2.0 + 4.0 * r(), -2.0 + 4.0 * r(), -2.0 + 4.0 * r(),
+                        -2.0 + 4.0 * r())
 
 
 def _spatial_vector(rng) -> SpatialVector:
-    return SpatialVector(_scalar(rng), _scalar(rng), _scalar(rng))
+    r = rng.random
+    return SpatialVector(-2.0 + 4.0 * r(), -2.0 + 4.0 * r(), -2.0 + 4.0 * r())
 
 
 def _spatial_covector(rng) -> SpatialCovector:
-    return SpatialCovector(_scalar(rng), _scalar(rng), _scalar(rng))
+    r = rng.random
+    return SpatialCovector(-2.0 + 4.0 * r(), -2.0 + 4.0 * r(), -2.0 + 4.0 * r())
 
 
 def _event(rng) -> Event:
-    return Event(_scalar(rng), _scalar(rng), _scalar(rng), _scalar(rng))
+    r = rng.random
+    return Event(-2.0 + 4.0 * r(), -2.0 + 4.0 * r(), -2.0 + 4.0 * r(), -2.0 + 4.0 * r())
 
 
 def _harmonic(rng) -> HarmonicPotential:
-    return HarmonicPotential(rng.uniform(0.2, 2.0), _event(rng))
+    return HarmonicPotential(0.2 + 1.8 * rng.random(), _event(rng))
 
 
 def _potential(rng) -> Potential:
@@ -140,11 +153,7 @@ def _worst(errors: Iterable[float]) -> float:
 
 
 def _gap(a, b) -> float:
-    return _worst(abs(x - y) for x, y in zip(a.components(), b.components()))
-
-
-def _norm(a) -> float:
-    return _worst(abs(c) for c in a.components())
+    return _worst(map(abs, map(sub, a.components(), b.components())))
 
 
 def _value_gap(a: av.LagrangianValue, b: av.LagrangianValue) -> float:
@@ -154,7 +163,7 @@ def _value_gap(a: av.LagrangianValue, b: av.LagrangianValue) -> float:
 def _momentum_kick(rng) -> FourCovector:
     """One-slot kick big enough that every membership tolerance rejects it."""
     slot = rng.randrange(4)
-    mag = rng.uniform(0.05, 1.0) * rng.choice((-1.0, 1.0))
+    mag = (0.05 + 0.95 * rng.random()) * rng.choice((-1.0, 1.0))
     parts = [0.0, 0.0, 0.0, 0.0]
     parts[slot] = mag
     return FourCovector(*parts)
@@ -400,7 +409,7 @@ def _check_characteristic_orientation(rng: random.Random, i: int) -> float:
 
 def _check_shift_antisymmetry(rng: random.Random, i: int) -> float:
     a, b = _frame(rng), _frame(rng)
-    return _norm(av.frame_shift(a, b) + av.frame_shift(b, a))
+    return _gap(av.frame_shift(a, b), -av.frame_shift(b, a))
 
 
 def _check_shift_cocycle(rng: random.Random, i: int) -> float:

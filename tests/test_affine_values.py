@@ -206,6 +206,21 @@ def test_morse_family_matches_fixed_frame_description(mass, phi, x, p, v):
         == generating_family(REST_FRAME, mass, phi, x, p, v)
 
 
+@given(masses, four_covectors, four_covectors)
+def test_translate_adds_the_covector(mass, p, pi):
+    moved = AffineMomentum(mass, p).translate(pi)
+    assert moved.mass == mass
+    assert [c.hex() for c in moved.p.components()] \
+        == [c.hex() for c in (p + pi).components()]
+
+
+def test_translate_is_not_a_subtraction():
+    p, pi = FourCovector(-0.5, 0.25, 1.0, 2.0), FourCovector(0.125, -0.5, 0.0, 1.0)
+    moved = AffineMomentum(1.5, p).translate(pi).p
+    assert moved == FourCovector(-0.375, -0.25, 1.0, 3.0)
+    assert moved != p - pi
+
+
 def test_morse_family_is_stationary_on_the_dynamics():
     mass = 1.5
     phi = HarmonicPotential(1.0, ORIGIN)

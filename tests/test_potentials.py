@@ -77,6 +77,24 @@ def test_harmonic_is_static(x, dt):
     assert phi.differential(x).pt == 0.0
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_harmonic_non_finite_time_gives_nan_spatial_slots(t):
+    """The drift term (t - c.t) * 0.0 is NaN there and reaches every spatial slot."""
+    phi = HarmonicPotential(1.3, Event(0.0, 0.5, -0.5, 1.0))
+    dt, *spatial = phi.differential_at(t, 1.0, 2.0, 3.0)
+    assert dt == 0.0
+    assert all(map(math.isnan, spatial))
+    assert math.isnan(phi.value_at(t, 1.0, 2.0, 3.0))
+
+
+@pytest.mark.parametrize("t, sign", [(0.5, 1.0), (1.5, -1.0)], ids=["before", "after"])
+def test_harmonic_drift_decides_the_signed_zero(t, sign):
+    """On the center, -0.0 - c.x - (t - c.t) * 0.0 is +0.0 before c.t and -0.0 after."""
+    phi = HarmonicPotential(2.0, Event(1.0, 0.0, 0.0, 0.0))
+    _, *spatial = phi.differential_at(t, -0.0, -0.0, -0.0)
+    assert [math.copysign(1.0, d) for d in spatial] == [sign] * 3
+
+
 @given(potentials, events)
 def test_spatial_gradient_restricts_differential(phi, x):
     assert phi.spatial_gradient(x) == restrict(phi.differential(x))
