@@ -23,7 +23,7 @@ from typing import TextIO
 
 from .affine_values import affine_momentum, shell_function
 from .chart import Frame, SpatialCovector, SpatialVector, embed, metric
-from .config import ConfigError, RunConfig, _float, _floats, _tol, load_config
+from .config import ConfigError, RunConfig, _float, _floats, _positive, load_config
 from .frame_dynamics import Sample, State, integrate
 from .homogeneous import legendre, mass_shell_residual
 from .verify import max_event_gap, render_report, run_checks
@@ -127,7 +127,7 @@ def _cmd_boost(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tol = None if args.tol is None else _tol(args.tol)
+    tol = None if args.tol is None else _positive("tol", args.tol)
     results = run_checks(trials=args.trials, seed=args.seed, tolerance=tol)
     for line in render_report(results):
         print(line)

@@ -30,16 +30,17 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-# Each potential kind and the dotted keys it takes besides potential.kind.
+# Each potential kind: the dotted keys it takes besides potential.kind,
+# and the one of them it requires.
 _POTENTIAL_KEYS = {
-    "zero": frozenset(),
-    "uniform": frozenset({"potential.k"}),
-    "harmonic": frozenset({"potential.kappa", "potential.center"}),
+    "zero": (frozenset(), None),
+    "uniform": (frozenset({"potential.k"}), "potential.k"),
+    "harmonic": (frozenset({"potential.kappa", "potential.center"}), "potential.kappa"),
 }
 
 _KNOWN_KEYS = frozenset({
     "mass", "potential.kind", "frame", "x0", "v0", "p0", "dt", "steps", "tol",
-}).union(*_POTENTIAL_KEYS.values())
+}).union(*(allowed for allowed, _ in _POTENTIAL_KEYS.values()))
 
 _REQUIRED_KEYS = ("mass", "potential.kind", "x0", "dt", "steps")
 
@@ -85,11 +86,11 @@ def _float(key: str, raw: str) -> float:
     return value
 
 
-def _tol(raw: str) -> float:
-    tol = _float("tol", raw)
-    if not tol > 0:
-        raise ConfigError(f"tol: must be positive, got {tol}")
-    return tol
+def _positive(key: str, raw: str) -> float:
+    value = _float(key, raw)
+    if not value > 0:
+        raise ConfigError(f"{key}: must be positive, got {value}")
+    return value
 
 
 def _int(key: str, raw: str) -> int:
@@ -103,24 +104,20 @@ def _build_potential(entries: dict[str, str]) -> Potential:
     kind = entries["potential.kind"]
     if kind not in _POTENTIAL_KEYS:
         raise ConfigError(f"potential.kind: unknown kind {kind!r}")
+    allowed, required = _POTENTIAL_KEYS[kind]
     extra = {key for key in entries
-             if key.startswith("potential.") and key != "potential.kind"} \
-        - _POTENTIAL_KEYS[kind]
+             if key.startswith("potential.") and key != "potential.kind"} - allowed
     if extra:
         raise ConfigError(f"{sorted(extra)[0]}: not valid for potential.kind={kind}")
+    if required is not None and required not in entries:
+        raise ConfigError(f"{required}: required for potential.kind={kind}")
 
     if kind == "zero":
         return ZeroPotential()
     if kind == "uniform":
-        if "potential.k" not in entries:
-            raise ConfigError("potential.k: required for potential.kind=uniform")
         return UniformPotential(FourCovector(*_floats("potential.k",
                                                       entries["potential.k"], 4)))
-    if "potential.kappa" not in entries:
-        raise ConfigError("potential.kappa: required for potential.kind=harmonic")
-    kappa = _float("potential.kappa", entries["potential.kappa"])
-    if not kappa > 0:
-        raise ConfigError(f"potential.kappa: must be positive, got {kappa}")
+    kappa = _positive("potential.kappa", entries["potential.kappa"])
     center = Event(*_floats("potential.center", entries["potential.center"], 4)) \
         if "potential.center" in entries else ORIGIN
     return HarmonicPotential(kappa, center)
@@ -145,16 +142,12 @@ def parse_config(text: str) -> RunConfig:
     if ("v0" in entries) == ("p0" in entries):
         raise ConfigError("exactly one of v0 or p0 is required")
 
-    mass = _float("mass", entries["mass"])
-    if not mass > 0:
-        raise ConfigError(f"mass: must be positive, got {mass}")
-    dt = _float("dt", entries["dt"])
-    if not dt > 0:
-        raise ConfigError(f"dt: must be positive, got {dt}")
+    mass = _positive("mass", entries["mass"])
+    dt = _positive("dt", entries["dt"])
     steps = _int("steps", entries["steps"])
     if steps < 1:
         raise ConfigError(f"steps: must be at least 1, got {steps}")
-    tol = _tol(entries["tol"]) if "tol" in entries else 1e-6
+    tol = _positive("tol", entries["tol"]) if "tol" in entries else 1e-6
 
     frame = Frame.from_boost(SpatialVector(*_floats("frame", entries["frame"], 3))) \
         if "frame" in entries else REST_FRAME

@@ -109,7 +109,7 @@ def lagrangian(u: Frame, mass: float, potential: Potential, x: Event,
     the observer enters.
     """
     _require_mass(mass)
-    rel = project(u, w - u)
+    rel = project(u, w)
     return 0.5 * mass * pair_spatial(metric(rel), rel) - potential.value(x)
 
 
@@ -164,7 +164,7 @@ def generate_from_lagrangian(u: Frame, mass: float, potential: Potential,
     derivative the force.
     """
     _require_mass(mass)
-    rel = project(u, w - u)
+    rel = project(u, w)
     state = State(x, metric(rel) * mass)
     return state, Tangent(w, -potential.spatial_gradient(x))
 

@@ -250,7 +250,6 @@ def characteristic_field(u: Frame, mass: float, potential: Potential,
     Off-shell momenta have no characteristic direction; they are
     rejected instead of silently projected.
     """
-    _require_mass(mass)
     residual = mass_shell_residual(u, mass, potential, x, p)
     if abs(residual) > MEMBER_TOL:
         raise ValueError(f"momentum is off shell, residual {residual!r}")

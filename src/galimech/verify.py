@@ -79,12 +79,6 @@ def _frame(rng) -> Frame:
     return Frame(1.0, -2.0 + 4.0 * r(), -2.0 + 4.0 * r(), -2.0 + 4.0 * r())
 
 
-def _four_vector(rng) -> FourVector:
-    r = rng.random
-    return FourVector(-2.0 + 4.0 * r(), -2.0 + 4.0 * r(), -2.0 + 4.0 * r(),
-                      -2.0 + 4.0 * r())
-
-
 def _four_velocity(rng) -> FourVector:
     """Future-directed four-velocity with time rate in [0.1, 3]."""
     r = rng.random
@@ -92,25 +86,25 @@ def _four_velocity(rng) -> FourVector:
                       -2.0 + 4.0 * r())
 
 
-def _four_covector(rng) -> FourCovector:
-    r = rng.random
-    return FourCovector(-2.0 + 4.0 * r(), -2.0 + 4.0 * r(), -2.0 + 4.0 * r(),
-                        -2.0 + 4.0 * r())
+def _slots4(cls: type) -> Callable[[random.Random], object]:
+    """A sampler of ``cls``, its four slots each drawn from [-2, 2]."""
+    def sampler(rng):
+        r = rng.random
+        return cls(-2.0 + 4.0 * r(), -2.0 + 4.0 * r(), -2.0 + 4.0 * r(),
+                   -2.0 + 4.0 * r())
+    return sampler
 
 
-def _spatial_vector(rng) -> SpatialVector:
-    r = rng.random
-    return SpatialVector(-2.0 + 4.0 * r(), -2.0 + 4.0 * r(), -2.0 + 4.0 * r())
+def _slots3(cls: type) -> Callable[[random.Random], object]:
+    """A sampler of ``cls``, its three slots each drawn from [-2, 2]."""
+    def sampler(rng):
+        r = rng.random
+        return cls(-2.0 + 4.0 * r(), -2.0 + 4.0 * r(), -2.0 + 4.0 * r())
+    return sampler
 
 
-def _spatial_covector(rng) -> SpatialCovector:
-    r = rng.random
-    return SpatialCovector(-2.0 + 4.0 * r(), -2.0 + 4.0 * r(), -2.0 + 4.0 * r())
-
-
-def _event(rng) -> Event:
-    r = rng.random
-    return Event(-2.0 + 4.0 * r(), -2.0 + 4.0 * r(), -2.0 + 4.0 * r(), -2.0 + 4.0 * r())
+_event, _four_vector, _four_covector = map(_slots4, (Event, FourVector, FourCovector))
+_spatial_vector, _spatial_covector = map(_slots3, (SpatialVector, SpatialCovector))
 
 
 def _harmonic(rng) -> HarmonicPotential:
@@ -213,7 +207,11 @@ def rest_energy_drift(u: Frame, mass: float, potential: Potential,
         w = metric_inv(state.p * (1.0 / mass)) + u.boost()
         return 0.5 * mass * pair_spatial(metric(w), w) + potential.value(state.x)
 
-    energies = map(rebuilt, samples)
+    return _relative_drift(map(rebuilt, samples))
+
+
+def _relative_drift(energies: Iterator[float]) -> float:
+    """Worst departure of ``energies`` from the first, over max(1, |first|)."""
     first = next(energies)
     scale = max(1.0, abs(first))
     return _worst(abs(e - first) for e in chain((first,), energies)) / scale
@@ -329,11 +327,8 @@ def _check_energy_conservation(rng: random.Random, i: int) -> float:
         phi = _harmonic(rng)
         u = REST_FRAME
     mass, x0, p0 = _mass(rng), _event(rng), _spatial_covector(rng)
-    energies = [s.energy for s in fd.integrate(u, mass, phi, fd.State(x0, p0),
-                                               1e-3, 1000)]
-    h0 = energies[0]
-    scale = max(1.0, abs(h0))
-    return _worst(abs(e - h0) for e in energies) / scale
+    samples = fd.integrate(u, mass, phi, fd.State(x0, p0), 1e-3, 1000)
+    return _relative_drift(s.energy for s in samples)
 
 
 def _check_free_particle(rng: random.Random, i: int) -> float:
@@ -522,13 +517,14 @@ def _check_dynamics_transport(rng: random.Random, i: int) -> float:
     v = _four_velocity(rng)
     p1 = hom.legendre(u1, mass, phi, x, v)
     tangent = hom.PhaseVelocity(v, phi.differential(x) * (-pair(TIME_FORM, v)))
-    ok1 = hom.is_dynamics_member(u1, mass, phi, hom.PhasePoint(x, p1), tangent)
-    p2 = av.momentum_transport(mass, u1, u2, p1)
-    ok2 = hom.is_dynamics_member(u2, mass, phi, hom.PhasePoint(x, p2), tangent)
-    bad1 = p1 + _momentum_kick(rng)
-    bad2 = av.momentum_transport(mass, u1, u2, bad1)
-    bad1_ok = hom.is_dynamics_member(u1, mass, phi, hom.PhasePoint(x, bad1), tangent)
-    bad2_ok = hom.is_dynamics_member(u2, mass, phi, hom.PhasePoint(x, bad2), tangent)
+
+    def verdicts(p: FourCovector) -> tuple[bool, bool]:
+        ok = hom.is_dynamics_member(u1, mass, phi, hom.PhasePoint(x, p), tangent)
+        moved = hom.PhasePoint(x, av.momentum_transport(mass, u1, u2, p))
+        return ok, hom.is_dynamics_member(u2, mass, phi, moved, tangent)
+
+    ok1, ok2 = verdicts(p1)
+    bad1_ok, bad2_ok = verdicts(p1 + _momentum_kick(rng))
     return float((not (ok1 and ok2)) + bad1_ok + bad2_ok)
 
 
@@ -572,27 +568,23 @@ def _check_universal_vs_frame(rng: random.Random, i: int) -> float:
     u1, u2 = _frame(rng), _frame(rng)
     v = _four_velocity(rng)
     pdot = phi.differential(x) * (-pair(TIME_FORM, v))
+
+    def verdicts(p: FourCovector, xdot: FourVector) -> tuple[bool, bool]:
+        return (hom.is_dynamics_member(u1, mass, phi, hom.PhasePoint(x, p),
+                                       hom.PhaseVelocity(xdot, pdot)),
+                av.is_universal_member(phi, x, av.affine_momentum(mass, u1, p),
+                                       xdot, pdot))
+
     p1 = hom.legendre(u1, mass, phi, x, v)
-    frame_ok = hom.is_dynamics_member(u1, mass, phi, hom.PhasePoint(x, p1),
-                                      hom.PhaseVelocity(v, pdot))
-    uni_ok = av.is_universal_member(phi, x, av.affine_momentum(mass, u1, p1), v, pdot)
+    frame_ok, uni_ok = verdicts(p1, v)
     p2 = hom.legendre(u2, mass, phi, x, v)
     uni_ok_other = av.is_universal_member(phi, x, av.affine_momentum(mass, u2, p2),
                                           v, pdot)
     if rng.random() < 0.5:
-        reverse = -1.0 * v
-        frame_bad = hom.is_dynamics_member(u1, mass, phi, hom.PhasePoint(x, p1),
-                                           hom.PhaseVelocity(reverse, pdot))
-        uni_bad = av.is_universal_member(phi, x, av.affine_momentum(mass, u1, p1),
-                                         reverse, pdot)
+        bad = verdicts(p1, -1.0 * v)
     else:
-        bad = p1 + _momentum_kick(rng)
-        frame_bad = hom.is_dynamics_member(u1, mass, phi, hom.PhasePoint(x, bad),
-                                           hom.PhaseVelocity(v, pdot))
-        uni_bad = av.is_universal_member(phi, x, av.affine_momentum(mass, u1, bad),
-                                         v, pdot)
-    return float((not (frame_ok and uni_ok and uni_ok_other))
-                 + (frame_bad or uni_bad))
+        bad = verdicts(p1 + _momentum_kick(rng), v)
+    return float((not (frame_ok and uni_ok and uni_ok_other)) + any(bad))
 
 
 def _check_differential_lift(rng: random.Random, i: int) -> float:

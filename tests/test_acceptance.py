@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from galimech import cli
 from galimech.cli import main
 from galimech.verify import (
     canonical_discrepancy,
@@ -106,18 +107,43 @@ def test_c10_trajectory_covariance():
     assert ok
 
 
-def test_full_suite_fits_the_time_budget(capsys):
+@pytest.fixture
+def reported(monkeypatch):
+    """The results behind the next ``galimech verify`` report."""
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen[:] = run_checks(*args, **kwargs)
+        return seen
+    monkeypatch.setattr(cli, "run_checks", recording)
+    return seen
+
+
+def _exact(results):
+    """``name trials max_error`` per suite, the error as ``float.hex``.
+
+    The report prints ``.3e``, which cannot see a last-bit change; the
+    ``verify_seed*.hex`` pins can.
+    """
+    return [f"{r.name} {r.trials} {r.max_error.hex()}" for r in results]
+
+
+def test_full_suite_fits_the_time_budget(capsys, reported):
     start = time.perf_counter()
     assert main(["verify"]) == 0
     elapsed = time.perf_counter() - start
     lines = capsys.readouterr().out.splitlines()
     assert lines == REPORT.read_text(encoding="utf-8").splitlines()
+    assert _exact(reported) == (DATA / "verify_seed42.hex").read_text(
+        encoding="utf-8").splitlines()
     assert elapsed < 60.0
 
 
 @pytest.mark.parametrize("seed", [7, 2024])
-def test_verify_report_is_pinned_at_other_seeds(capsys, seed):
+def test_verify_report_is_pinned_at_other_seeds(capsys, reported, seed):
     # The same report at seeds whose trials differ from the published one.
     assert main(["verify", "--seed", str(seed)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == (DATA / f"verify_seed{seed}.txt").read_text(encoding="utf-8").splitlines()
+    assert _exact(reported) == (DATA / f"verify_seed{seed}.hex").read_text(
+        encoding="utf-8").splitlines()

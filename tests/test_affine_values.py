@@ -32,6 +32,7 @@ from galimech.chart import (
     cometric,
 )
 from galimech.homogeneous import (
+    MEMBER_TOL,
     PhasePoint,
     characteristic_field,
     generating_family,
@@ -39,7 +40,7 @@ from galimech.homogeneous import (
     is_dynamics_member,
     legendre,
 )
-from galimech.potentials import HarmonicPotential
+from galimech.potentials import HarmonicPotential, ZeroPotential
 
 from strategies import (
     scalars,
@@ -261,7 +262,7 @@ def test_universal_member_accepts_the_characteristic_lift(mass, phi, x, u, v, r)
     assert not is_universal_member(phi, x, momentum, -xdot, -pdot)
 
 
-@pytest.mark.parametrize("rate, member", [(1e-13, False), (1e-11, True)])
+@pytest.mark.parametrize("rate, member", [(1e-13, False), (1e-11, True), (1e-12, False)])
 def test_universal_and_frame_membership_share_the_forward_time_guard(rate, member):
     """Both verdicts treat a rate at or below TIME_RATE_FLOOR as frozen motion."""
     u, mass = Frame(1.0, 0.5, -0.25, 0.0), 2.0
@@ -272,6 +273,15 @@ def test_universal_and_frame_membership_share_the_forward_time_guard(rate, membe
     frame_ok = is_dynamics_member(u, mass, phi, PhasePoint(x, p), vel)
     uni_ok = is_universal_member(phi, x, affine_momentum(mass, u, p), vel.xdot, vel.pdot)
     assert (frame_ok, uni_ok) == (member, member)
+
+
+def test_shell_tolerance_is_inclusive():
+    """A residual of exactly MEMBER_TOL is on the shell for both shell checks."""
+    # At rest, with no potential and no spatial momentum, the residual is pt.
+    p = FourCovector(MEMBER_TOL, 0.0, 0.0, 0.0)
+    vel = characteristic_field(REST_FRAME, 1.0, ZeroPotential(), ORIGIN, p, 1.0)
+    assert is_universal_member(ZeroPotential(), ORIGIN, affine_momentum(1.0, REST_FRAME, p),
+                               vel.xdot, vel.pdot)
 
 
 def test_universal_member_rejects_corruptions():

@@ -121,6 +121,34 @@ def test_malformed_configs_exit_2(tmp_path, mangle):
                  "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("mangle, message", [
+    (lambda text: text + "garbage\n", "line 8: expected 'key = value', got 'garbage'"),
+    (lambda text: text.replace("mass = 1.0", "mass = abc"),
+     "mass: could not convert string to float: 'abc'"),
+    (lambda text: text.replace("steps = 10", "steps = 1.5"),
+     "steps: invalid literal for int() with base 10: '1.5'"),
+    (lambda text: text.replace("potential.kind = zero", "potential.kind = harmonic"),
+     "potential.kappa: required for potential.kind=harmonic"),
+    (lambda text: text.replace("potential.kind = zero", "potential.kind = uniform"),
+     "potential.k: required for potential.kind=uniform"),
+    (lambda text: text.replace("mass = 1.0", "mass = 0"), "mass: must be positive, got 0.0"),
+    (lambda text: text.replace("dt = 0.125", "dt = 0"), "dt: must be positive, got 0.0"),
+    (lambda text: text.replace("steps = 10", "steps = 0"), "steps: must be at least 1, got 0"),
+    (lambda text: text.replace("potential.kind = zero",
+                               "potential.kind = harmonic\npotential.kappa = 0"),
+     "potential.kappa: must be positive, got 0.0"),
+], ids=["no-equals", "mass-abc", "steps-1.5", "harmonic-no-kappa", "uniform-no-k",
+        "mass-0", "dt-0", "steps-0", "kappa-0"])
+def test_config_errors_are_one_exact_line(tmp_path, capsys, mangle, message):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", write(tmp_path, mangle(FREE)),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_non_finite_value_names_its_key(tmp_path, capsys):
     cfg = write(tmp_path, FREE.replace("v0 = 0.5, 0, 0", "v0 = 0.5, 0, nan"))
     assert main(["simulate", "--config", cfg,
@@ -141,6 +169,18 @@ def test_divergence_exits_3(tmp_path):
 
 
 DIVERGING = HARMONIC.replace("dt = 1e-3", "dt = 10").replace("steps = 6284", "steps = 500")
+
+
+@pytest.mark.parametrize("text, code", [(FREE, 0), (DIVERGING, 3)],
+                         ids=["success", "divergence"])
+def test_simulate_leaves_the_umask_as_it_was(tmp_path, text, code):
+    before = os.umask(0o027)
+    try:
+        assert main(["simulate", "--config", write(tmp_path, text),
+                     "--out", str(tmp_path / "x.csv")]) == code
+    finally:
+        after = os.umask(before)
+    assert after == 0o027
 
 
 @pytest.mark.parametrize("command", [
@@ -263,8 +303,17 @@ def test_corrupted_momentum_map_is_caught(tmp_path, capsys):
     assert main(["boost", "--config", write(tmp_path, FREE),
                  "--boost", "0.25,0,0", "--out", str(out),
                  "--corrupt-momentum", "0.01"]) == 1
-    value = float(out.read_text().splitlines()[-1].split("=")[1])
-    assert value > 1e-6
+    lines = out.read_text().splitlines()
+    # The offset is added to the boosted run's px: 0.5 - 0.25 + 0.01.
+    assert float(lines[14].split(",")[5]) == 0.25 + 0.01
+    value = lines[-1].split("=")[1]
+    assert float(value) > 1e-6
+    assert capsys.readouterr().err \
+        == "error: event discrepancy 1.250e-02 exceeds tol 1.000e-06\n"
+    # The gate is inclusive: a tol of exactly the discrepancy passes.
+    assert main(["boost", "--config", write(tmp_path, FREE + f"tol = {value}\n"),
+                 "--boost", "0.25,0,0", "--out", str(out),
+                 "--corrupt-momentum", "0.01"]) == 0
 
 
 def test_boost_rejects_malformed_vector(tmp_path):
@@ -307,6 +356,7 @@ def test_legendre_at_rest_reads_the_potential(tmp_path, capsys):
     assert main(["legendre", "--config", cfg]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "momentum = -0.5,0,0,0"
+    assert lines[3] == "shell_energy_plus_potential = 0"
 
 
 def test_legendre_class_is_config_independent(tmp_path, capsys):
@@ -335,9 +385,27 @@ def test_legendre_requires_a_velocity(tmp_path, capsys):
     assert "v0" in capsys.readouterr().err
 
 
-def test_legendre_honours_the_tolerance_gate(tmp_path):
+def test_legendre_honours_the_tolerance_gate(tmp_path, capsys):
     cfg = write(tmp_path, LEGENDRE_BASE + "tol = 1e-30\n")
     assert main(["legendre", "--config", cfg]) == 1
+    assert capsys.readouterr().err \
+        == "error: shell residual -6.661e-18 exceeds tol 1.000e-30\n"
+    # The gate is inclusive: a tol of exactly |residual| passes.
+    cfg = write(tmp_path, LEGENDRE_BASE + "tol = 6.661338147750939e-18\n")
+    assert main(["legendre", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("dt = 0.001", "dt = 0", "dt: must be positive, got 0.0"),
+    ("steps = 1", "steps = 0", "steps: must be at least 1, got 0"),
+], ids=["dt-0", "steps-0"])
+def test_legendre_rejects_what_it_does_not_use(tmp_path, capsys, old, new, message):
+    # legendre integrates nothing: the config is the only guard on dt and steps.
+    cfg = write(tmp_path, LEGENDRE_BASE.replace(old, new))
+    assert main(["legendre", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("line", [
@@ -478,7 +546,8 @@ def test_energy_column_tracks_the_oscillator(tmp_path):
 
 _numbers = st.one_of(
     st.floats(-3, 3).map(repr),
-    st.sampled_from(["0", "1e200", "-1e200", "1e308", "-1e308", "nan", "inf", "-inf"]))
+    st.sampled_from(["0", "1e200", "-1e200", "1e308", "-1e308", "nan", "inf", "-inf",
+                     "abc"]))
 
 
 def _vector(n):

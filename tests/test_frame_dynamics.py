@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from galimech.chart import (
     Event,
@@ -203,9 +203,37 @@ def test_integrate_rejects_non_integer_steps(steps):
     (-2.0, 1e-3, "mass must be positive and finite"),
     (math.inf, 1e-3, "mass must be positive and finite"),
     (math.nan, 1e-3, "mass must be positive and finite"),
+    (0.0, 0.0, "mass must be positive and finite"),
 ])
 def test_integrate_checks_dt_and_mass_when_called(mass, dt, message):
     """The trajectory is lazy, the argument checks are not: no ``next`` is needed."""
     state = State(ORIGIN, SpatialCovector(0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match=message):
         integrate(REST_FRAME, mass, ZeroPotential(), state, dt, 10)
+
+
+# Boost slots from desk scale to the edges of the finite floats.
+_edge_slots = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300]))
+_edge_frames = st.builds(Frame, st.just(1.0), _edge_slots, _edge_slots, _edge_slots)
+
+
+def _bits(*values):
+    return [v.hex() for v in values]
+
+
+@given(_edge_frames, masses, potentials, events, _edge_frames)
+@settings(max_examples=300)
+def test_relative_velocity_matches_the_difference_form(u, mass, phi, x, w):
+    """``project(u, w)`` against the oracle ``project(u, w - u)``, bit for bit.
+
+    The forms agree whenever both time slots are exactly 1 and the boosts
+    are finite; an infinite boost, or a time slot off 1 within the frame
+    tolerance, tells them apart.
+    """
+    rel = project(u, w - u)
+    want = 0.5 * mass * pair_spatial(metric(rel), rel) - phi.value(x)
+    assert _bits(lagrangian(u, mass, phi, x, w)) == _bits(want)
+    state, _ = generate_from_lagrangian(u, mass, phi, x, w)
+    assert _bits(*state.p.components()) == _bits(*(metric(rel) * mass).components())

@@ -19,7 +19,16 @@ from galimech.chart import (
     TIME_FORM,
     pair,
 )
-from galimech.frame_dynamics import State, integrate, lagrangian
+from galimech.frame_dynamics import (
+    State,
+    dynamics_field,
+    generate_from_lagrangian,
+    hamiltonian,
+    integrate,
+    lagrangian,
+    poisson_field,
+    vertical_field,
+)
 from galimech.homogeneous import (
     PhasePoint,
     PhaseVelocity,
@@ -216,6 +225,9 @@ def test_characteristic_field_spans_both_halves():
 def test_zero_rate_boundary_is_guarded():
     still = FourVector(0.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
+        legendre(REST_FRAME, 1.0, ZeroPotential(), ORIGIN,
+                 FourVector(TIME_RATE_FLOOR, 1.0, 0.0, 0.0))
+    with pytest.raises(ValueError):
         homogeneous_lagrangian(REST_FRAME, 1.0, ZeroPotential(), ORIGIN, still)
     with pytest.raises(ValueError):
         legendre(REST_FRAME, 1.0, ZeroPotential(), ORIGIN, -still)
@@ -256,6 +268,9 @@ def test_mass_is_validated():
 
 
 MOVING = FourVector(1.0, 0.5, 0.0, 0.0)
+MOVING_STATE = State(ORIGIN, SpatialCovector(0.5, 0.0, 0.0))
+# On the unit-mass shell of the zero potential, moving with MOVING.
+MOVING_P = FourCovector(-0.125, 0.5, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("mass", [math.inf, math.nan, 0.0, -1.0])
@@ -263,12 +278,30 @@ MOVING = FourVector(1.0, 0.5, 0.0, 0.0)
     lambda m: legendre(REST_FRAME, m, ZeroPotential(), ORIGIN, MOVING),
     lambda m: homogeneous_lagrangian(REST_FRAME, m, ZeroPotential(), ORIGIN, MOVING),
     lambda m: lagrangian(REST_FRAME, m, ZeroPotential(), ORIGIN, Frame(*MOVING.components())),
-    lambda m: integrate(REST_FRAME, m, ZeroPotential(),
-                        State(ORIGIN, SpatialCovector(0.5, 0.0, 0.0)), 0.1, 3),
+    lambda m: integrate(REST_FRAME, m, ZeroPotential(), MOVING_STATE, 0.1, 3),
     lambda m: AffineMomentum(m, FourCovector(0.0, 0.5, 0.0, 0.0)),
     lambda m: LagrangianValue(m, MOVING, 0.0),
+    lambda m: hamiltonian(m, ZeroPotential(), ORIGIN, MOVING_STATE.p),
+    lambda m: vertical_field(m, ZeroPotential(), MOVING_STATE),
+    lambda m: poisson_field(m, ZeroPotential(), MOVING_STATE),
+    lambda m: dynamics_field(REST_FRAME, m, ZeroPotential(), MOVING_STATE),
+    lambda m: generate_from_lagrangian(REST_FRAME, m, ZeroPotential(), ORIGIN,
+                                       Frame(*MOVING.components())),
+    lambda m: lagrangian_differential(REST_FRAME, m, ZeroPotential(), ORIGIN, MOVING),
+    lambda m: critical_velocity(REST_FRAME, m, MOVING_P, 1.0),
+    lambda m: mass_shell_residual(REST_FRAME, m, ZeroPotential(), ORIGIN, MOVING_P),
+    lambda m: is_dynamics_member(REST_FRAME, m, ZeroPotential(),
+                                 PhasePoint(ORIGIN, MOVING_P),
+                                 PhaseVelocity(MOVING, FourCovector(0.0, 0.0, 0.0, 0.0))),
+    lambda m: characteristic_field(REST_FRAME, m, ZeroPotential(), ORIGIN, MOVING_P, 1.0),
+    lambda m: reduced_family(REST_FRAME, m, ZeroPotential(), ORIGIN, MOVING_P, 1.0),
+    lambda m: generating_family(REST_FRAME, m, ZeroPotential(), ORIGIN, MOVING_P, MOVING),
 ], ids=["legendre", "homogeneous_lagrangian", "lagrangian", "integrate",
-        "AffineMomentum", "LagrangianValue"])
+        "AffineMomentum", "LagrangianValue", "hamiltonian", "vertical_field",
+        "poisson_field", "dynamics_field", "generate_from_lagrangian",
+        "lagrangian_differential", "critical_velocity", "mass_shell_residual",
+        "is_dynamics_member", "characteristic_field", "reduced_family",
+        "generating_family"])
 def test_mass_must_be_positive_and_finite(call, mass):
     with pytest.raises(ValueError, match="mass must be positive and finite"):
         call(mass)

@@ -141,3 +141,23 @@ def test_subclass_redefining_an_object_method_is_rejected(name):
 
     with pytest.raises(TypeError, match="value_at and differential_at"):
         type("DoubledSpring", (HarmonicPotential,), {name: doubled})
+
+
+@pytest.mark.parametrize("name", ["value_at", "differential_at"])
+def test_base_potential_defines_no_coordinates(name):
+    with pytest.raises(NotImplementedError):
+        getattr(Potential(), name)(0.0, 0.0, 0.0, 0.0)
+
+
+def test_subclass_keywords_reach_a_cooperative_base():
+    """``Potential.__init_subclass__`` hands its keywords on along the MRO."""
+    class Labelled:
+        def __init_subclass__(cls, label="", **kwargs):
+            super().__init_subclass__(**kwargs)
+            cls.label = label
+
+    class LabelledSaddle(Saddle, Labelled, label="saddle"):
+        pass
+
+    assert LabelledSaddle.label == "saddle"
+    assert LabelledSaddle().value_at(1.0, 2.0, 1.0, 0.5) == 3.5

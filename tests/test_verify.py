@@ -15,7 +15,7 @@ from galimech.chart import (
     SpatialCovector,
 )
 from galimech.frame_dynamics import Sample, State, generate_from_lagrangian, integrate
-from galimech.potentials import ZeroPotential
+from galimech.potentials import HarmonicPotential, ZeroPotential
 from galimech.verify import (
     CHECKS,
     Check,
@@ -86,20 +86,21 @@ def _uniform_draws(rng, *ranges):
 
 _S = (-2.0, 2.0)
 
-# Each sampler against the ``rng.uniform`` calls it writes out, in order.
-_SAMPLERS = [
-    (verify._scalar, lambda rng: _uniform_draws(rng, _S)),
-    (verify._mass, lambda rng: _uniform_draws(rng, (0.5, 3.0))),
-    (verify._time_rate, lambda rng: _uniform_draws(rng, (0.1, 3.0))),
-    (verify._frame, lambda rng: (1.0, *_uniform_draws(rng, _S, _S, _S))),
-    (verify._four_vector, lambda rng: _uniform_draws(rng, _S, _S, _S, _S)),
-    (verify._four_velocity, lambda rng: _uniform_draws(rng, (0.1, 3.0), _S, _S, _S)),
-    (verify._four_covector, lambda rng: _uniform_draws(rng, _S, _S, _S, _S)),
-    (verify._spatial_vector, lambda rng: _uniform_draws(rng, _S, _S, _S)),
-    (verify._spatial_covector, lambda rng: _uniform_draws(rng, _S, _S, _S)),
-    (verify._event, lambda rng: _uniform_draws(rng, _S, _S, _S, _S)),
-    (verify._harmonic, lambda rng: _uniform_draws(rng, (0.2, 2.0), _S, _S, _S, _S)),
-]
+# Each sampler, by its name in ``verify``, against the ``rng.uniform``
+# calls it writes out, in order.
+_SAMPLERS = {
+    "_scalar": lambda rng: _uniform_draws(rng, _S),
+    "_mass": lambda rng: _uniform_draws(rng, (0.5, 3.0)),
+    "_time_rate": lambda rng: _uniform_draws(rng, (0.1, 3.0)),
+    "_frame": lambda rng: (1.0, *_uniform_draws(rng, _S, _S, _S)),
+    "_four_vector": lambda rng: _uniform_draws(rng, _S, _S, _S, _S),
+    "_four_velocity": lambda rng: _uniform_draws(rng, (0.1, 3.0), _S, _S, _S),
+    "_four_covector": lambda rng: _uniform_draws(rng, _S, _S, _S, _S),
+    "_spatial_vector": lambda rng: _uniform_draws(rng, _S, _S, _S),
+    "_spatial_covector": lambda rng: _uniform_draws(rng, _S, _S, _S),
+    "_event": lambda rng: _uniform_draws(rng, _S, _S, _S, _S),
+    "_harmonic": lambda rng: _uniform_draws(rng, (0.2, 2.0), _S, _S, _S, _S),
+}
 
 
 def _drawn(value):
@@ -110,10 +111,10 @@ def _drawn(value):
     return value.components()
 
 
-@pytest.mark.parametrize("sampler, reference", _SAMPLERS,
-                         ids=[sampler.__name__ for sampler, _ in _SAMPLERS])
-def test_samplers_draw_what_uniform_draws(sampler, reference):
+@pytest.mark.parametrize("name", _SAMPLERS)
+def test_samplers_draw_what_uniform_draws(name):
     """Bit for bit and in stream order; the pinned reports print too few digits to see one ulp."""
+    sampler, reference = getattr(verify, name), _SAMPLERS[name]
     ours, theirs = random.Random(5), random.Random(5)
     for _ in range(200):
         assert list(map(float.hex, _drawn(sampler(ours)))) \
@@ -244,6 +245,25 @@ def test_free_particle_conserves_rest_energy_exactly():
                               SpatialCovector(1.0, -0.5, 0.25)),
                         0.01, 20)
     assert rest_energy_drift(u, 2.0, ZeroPotential(), samples) == 0.0
+
+
+def test_rest_energy_drift_reads_the_mass():
+    """A boosted oscillator of mass 2 conserves its rebuilt rest energy."""
+    u, phi = Frame(1.0, 0.5, 0.0, 0.0), HarmonicPotential(1.0, ORIGIN)
+    samples = integrate(u, 2.0, phi, State(Event(0.0, 1.0, 0.0, 0.0),
+                                           SpatialCovector(-1.0, 0.5, 0.0)), 1e-2, 300)
+    assert rest_energy_drift(u, 2.0, phi, samples) <= 1e-8
+
+
+def test_verdict_suites_count_every_accepted_control(monkeypatch):
+    """With both membership verdicts forced to True, each negative control counts."""
+    monkeypatch.setattr(homogeneous, "is_dynamics_member", lambda *args: True)
+    monkeypatch.setattr(affine_values, "is_universal_member", lambda *args: True)
+    results = run_checks(trials=4, seed=3, names=[
+        "characteristic-orientation", "dynamics-transport", "universal-vs-frame-dynamics"])
+    assert [(r.name, r.max_error) for r in results] == [
+        ("characteristic-orientation", 4.0), ("dynamics-transport", 8.0),
+        ("universal-vs-frame-dynamics", 4.0)]
 
 
 def test_canonical_case_meets_the_published_gates():
