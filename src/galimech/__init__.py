@@ -20,8 +20,8 @@ from .chart import (
     TIME_FORM,
 )
 from .potentials import HarmonicPotential, Potential, UniformPotential, ZeroPotential
-from .frame_dynamics import IntegrationDiverged, Sample, State, Tangent, integrate
-from .homogeneous import PhasePoint, PhaseVelocity, legendre, mass_shell_residual
+from .frame_dynamics import IntegrationDiverged, Sample, integrate
+from .homogeneous import legendre, mass_shell_residual
 from .affine_values import (
     AffineMomentum,
     LagrangianValue,
@@ -48,13 +48,9 @@ __all__ = [
     "ZeroPotential",
     "UniformPotential",
     "HarmonicPotential",
-    "State",
-    "Tangent",
     "Sample",
     "IntegrationDiverged",
     "integrate",
-    "PhasePoint",
-    "PhaseVelocity",
     "legendre",
     "mass_shell_residual",
     "LagrangianValue",

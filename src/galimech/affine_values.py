@@ -238,6 +238,6 @@ def is_universal_member(potential: Potential, x: Event,
         return False
     if not abs(shell_function(momentum) + potential.value(x)) <= MEMBER_TOL:
         return False
-    want = _characteristic(REST_FRAME, momentum.mass, potential, x, momentum.p, r)
-    return (_within(xdot, want.xdot, MEMBER_TOL)
-            and _within(pdot, want.pdot, MEMBER_TOL))
+    want_xdot, want_pdot = _characteristic(REST_FRAME, momentum.mass, potential,
+                                           x, momentum.p, r)
+    return _within(xdot, want_xdot, MEMBER_TOL) and _within(pdot, want_pdot, MEMBER_TOL)

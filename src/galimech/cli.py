@@ -24,7 +24,7 @@ from typing import TextIO
 from .affine_values import affine_momentum, shell_function
 from .chart import Frame, SpatialCovector, SpatialVector, embed, metric
 from .config import ConfigError, RunConfig, _float, _floats, _positive, load_config
-from .frame_dynamics import Sample, State, integrate
+from .frame_dynamics import Sample, integrate
 from .homogeneous import legendre, mass_shell_residual
 from .verify import max_event_gap, render_report, run_checks
 
@@ -65,8 +65,11 @@ def _replacing(path: str) -> Iterator[TextIO]:
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         raise OSError(f"out: not a regular file: {path}")
-    fd, tmp = tempfile.mkstemp(prefix=".galimech-", suffix=".tmp",
-                               dir=os.path.dirname(target))
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=".galimech-", suffix=".tmp",
+                                   dir=os.path.dirname(target))
+    except OSError as exc:
+        raise OSError(f"out: {exc.strerror}: {path}") from None
     try:
         with open(fd, "w", encoding="utf-8", newline="") as handle:
             # Reading the umask means setting it; the restrictive value
@@ -82,8 +85,7 @@ def _replacing(path: str) -> Iterator[TextIO]:
 
 
 def _run(cfg: RunConfig, u: Frame, p0: SpatialCovector) -> Iterator[Sample]:
-    return integrate(u, cfg.mass, cfg.potential, State(cfg.x0, p0),
-                     cfg.dt, cfg.steps)
+    return integrate(u, cfg.mass, cfg.potential, cfg.x0, p0, cfg.dt, cfg.steps)
 
 
 def _cmd_simulate(args) -> int:

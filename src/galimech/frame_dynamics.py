@@ -1,10 +1,11 @@
 """Particle dynamics as seen from one inertial frame.
 
-States carry an event and a spatial momentum covector; the frame enters
-the equations only through the drift of the position.  Trajectories are
-produced by classical fixed-step RK4, which is exact on free motion and
-keeps bound-orbit energy drift far below the verification tolerances at
-desk scale.
+A phase point is an event and a spatial momentum covector, passed as
+two arguments; a rate comes back as an ``(xdot, pdot)`` pair.  The
+frame enters the equations only through the drift of the position.
+Trajectories are produced by classical fixed-step RK4, which is exact
+on free motion and keeps bound-orbit energy drift far below the
+verification tolerances at desk scale.
 
 The typed values are the interface; ``integrate`` runs on plain floats.
 Its kernel keeps the state in seven locals and evaluates
@@ -12,8 +13,7 @@ Its kernel keeps the state in seven locals and evaluates
 order, so its trajectories are bit-identical to stepping the value
 objects.  It yields each step as a flat ``Sample`` of eight floats as
 soon as the step is taken, so a trajectory is streamed, never held:
-``Sample.state`` builds the typed phase point when a caller asks for it,
-and ``list(integrate(...))`` gives the whole trajectory.  The potential
+``list(integrate(...))`` gives the whole trajectory.  The potential
 is asked on chart coordinates, through ``differential_at(t, x, y, z)``
 and ``value_at(t, x, y, z)``: the two methods every ``Potential``
 defines, so custom kinds run through the same kernel.
@@ -30,7 +30,6 @@ from .chart import (
     Frame,
     SpatialCovector,
     SpatialVector,
-    _frozen,
     metric,
     metric_inv,
     pair_spatial,
@@ -40,8 +39,6 @@ from .homogeneous import _require_mass
 from .potentials import Potential
 
 __all__ = [
-    "State",
-    "Tangent",
     "Sample",
     "IntegrationDiverged",
     "lagrangian",
@@ -52,26 +49,6 @@ __all__ = [
     "generate_from_lagrangian",
     "integrate",
 ]
-
-
-@_frozen
-class State:
-    """Instantaneous phase point: position event and spatial momentum."""
-
-    x: Event
-    p: SpatialCovector
-
-
-@_frozen
-class Tangent:
-    """Rate of change of a state along the time parameter.
-
-    The position rate is a frame: the particle advances one unit of
-    chart time per unit of parameter.
-    """
-
-    xdot: Frame
-    pdot: SpatialCovector
 
 
 class Sample(NamedTuple):
@@ -89,12 +66,6 @@ class Sample(NamedTuple):
     py: float
     pz: float
     energy: float
-
-    @property
-    def state(self) -> State:
-        """The typed phase point, built anew on each access."""
-        return State(Event(self.t, self.x, self.y, self.z),
-                     SpatialCovector(self.px, self.py, self.pz))
 
 
 class IntegrationDiverged(ArithmeticError):
@@ -124,53 +95,51 @@ def hamiltonian(mass: float, potential: Potential, x: Event,
     return 0.5 * pair_spatial(p, metric_inv(p)) / mass + potential.value(x)
 
 
-def dynamics_field(u: Frame, mass: float, potential: Potential,
-                   state: State) -> Tangent:
+def dynamics_field(u: Frame, mass: float, potential: Potential, x: Event,
+                   p: SpatialCovector) -> tuple[Frame, SpatialCovector]:
     """Equations of motion: xdot = g^-1(p)/m + u, pdot = -grad phi.
 
     The vertical field plus the frame's drift.
     """
-    w, force = vertical_field(mass, potential, state)
-    return Tangent(Frame(1.0, w.x + u.dx, w.y + u.dy, w.z + u.dz), force)
+    w, force = vertical_field(mass, potential, x, p)
+    return Frame(1.0, w.x + u.dx, w.y + u.dy, w.z + u.dz), force
 
 
-def vertical_field(mass: float, potential: Potential,
-                   state: State) -> tuple[SpatialVector, SpatialCovector]:
+def vertical_field(mass: float, potential: Potential, x: Event,
+                   p: SpatialCovector) -> tuple[SpatialVector, SpatialCovector]:
     """Frame-independent part of the dynamics: relative velocity and force."""
     _require_mass(mass)
-    return (metric_inv(state.p * (1.0 / mass)),
-            -potential.spatial_gradient(state.x))
+    return metric_inv(p * (1.0 / mass)), -potential.spatial_gradient(x)
 
 
-def poisson_field(mass: float, potential: Potential,
-                  state: State) -> tuple[SpatialVector, SpatialCovector]:
+def poisson_field(mass: float, potential: Potential, x: Event,
+                  p: SpatialCovector) -> tuple[SpatialVector, SpatialCovector]:
     """Hamilton's equations from the canonical bracket on (x, p).
 
     The bracket only sees the fibers over simultaneity slices, so this
     reproduces exactly the vertical field, never the frame drift.
     """
     _require_mass(mass)
-    p = state.p
     dh_dp = SpatialVector(p.x / mass, p.y / mass, p.z / mass)
-    dh_dx = potential.spatial_gradient(state.x)
+    dh_dx = potential.spatial_gradient(x)
     return (dh_dp, -dh_dx)
 
 
 def generate_from_lagrangian(u: Frame, mass: float, potential: Potential,
-                             x: Event, w: Frame) -> tuple[State, Tangent]:
-    """Phase point and its required rate for a particle at ``x`` moving with ``w``.
+                             x: Event, w: Frame
+                             ) -> tuple[SpatialCovector, tuple[Frame, SpatialCovector]]:
+    """Momentum at ``x`` of a particle moving with ``w``, and its required rate.
 
     The fiber derivative of the lagrangian gives the momentum, the base
     derivative the force.
     """
     _require_mass(mass)
     rel = project(u, w)
-    state = State(x, metric(rel) * mass)
-    return state, Tangent(w, -potential.spatial_gradient(x))
+    return metric(rel) * mass, (w, -potential.spatial_gradient(x))
 
 
-def integrate(u: Frame, mass: float, potential: Potential, initial: State,
-              dt: float, steps: int) -> Iterator[Sample]:
+def integrate(u: Frame, mass: float, potential: Potential, x: Event,
+              p: SpatialCovector, dt: float, steps: int) -> Iterator[Sample]:
     """Fixed-step RK4 trajectory, one sample per step plus the initial one.
 
     The arguments are checked when ``integrate`` is called; the samples
@@ -185,7 +154,6 @@ def integrate(u: Frame, mass: float, potential: Potential, initial: State,
         raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps!r}")
-    x, p = initial.x, initial.p
     first = Sample(x.t, x.x, x.y, x.z, p.x, p.y, p.z,
                    hamiltonian(mass, potential, x, p))
     return _rk4(u, mass, potential, first, dt, steps)

@@ -20,15 +20,12 @@ from .chart import (
     FourCovector,
     FourVector,
     TIME_FORM,
-    _frozen,
     _relative,
     pair,
 )
 from .potentials import Potential
 
 __all__ = [
-    "PhasePoint",
-    "PhaseVelocity",
     "TIME_RATE_FLOOR",
     "MEMBER_TOL",
     "homogeneous_lagrangian",
@@ -48,22 +45,6 @@ __all__ = [
 TIME_RATE_FLOOR = 1e-12
 # Slot-wise tolerance of the membership verdicts and of the shell check.
 MEMBER_TOL = 1e-9
-
-
-@_frozen
-class PhasePoint:
-    """Event plus full four-covector momentum."""
-
-    x: Event
-    p: FourCovector
-
-
-@_frozen
-class PhaseVelocity:
-    """Rate of change of a phase point along an arbitrary parameter."""
-
-    xdot: FourVector
-    pdot: FourCovector
 
 
 def _require_mass(mass: float):
@@ -191,23 +172,21 @@ def mass_shell_residual(u: Frame, mass: float, potential: Potential,
     return _shell_energy(u, mass, potential.value(x), p.px, p.py, p.pz, p.pt)
 
 
-def is_dynamics_member(u: Frame, mass: float, potential: Potential,
-                       point: PhasePoint, velocity: PhaseVelocity,
+def is_dynamics_member(u: Frame, mass: float, potential: Potential, x: Event,
+                       p: FourCovector, xdot: FourVector, pdot: FourCovector,
                        tol: float = MEMBER_TOL) -> bool:
-    """Whether (point, velocity) solves the homogeneous equations of motion.
+    """Whether (xdot, pdot) at (x, p) solves the homogeneous equations of motion.
 
     Time-reversed or frozen motions are judged non-members rather than
     rejected, so callers can use this as a verdict on arbitrary input.
     """
     _require_mass(mass)
-    s = pair(TIME_FORM, velocity.xdot)
+    s = pair(TIME_FORM, xdot)
     if not s > TIME_RATE_FLOOR:
         return False
-    want_p = _legendre(u, mass, potential, point.x, velocity.xdot, s)
-    if not _within(point.p, want_p, tol):
+    if not _within(p, _legendre(u, mass, potential, x, xdot, s), tol):
         return False
-    want_pdot = potential.differential(point.x) * (-s)
-    return _within(velocity.pdot, want_pdot, tol)
+    return _within(pdot, potential.differential(x) * (-s), tol)
 
 
 def generating_family(u: Frame, mass: float, potential: Potential, x: Event,
@@ -228,7 +207,7 @@ def reduced_family(u: Frame, mass: float, potential: Potential, x: Event,
 
 
 def _characteristic(u: Frame, mass: float, potential: Potential, x: Event,
-                    p: FourCovector, rate: float) -> PhaseVelocity:
+                    p: FourCovector, rate: float) -> tuple[FourVector, FourCovector]:
     """The hamiltonian generator at ``rate`` through (x, p), shell unchecked.
 
     The position rate is (cometric(p) * (1 / mass) + u) * rate, one slot
@@ -238,11 +217,12 @@ def _characteristic(u: Frame, mass: float, potential: Potential, x: Event,
     a = 1.0 / mass
     xdot = FourVector(rate * (a * 0.0 + u.dt), rate * (a * p.px + u.dx),
                       rate * (a * p.py + u.dy), rate * (a * p.pz + u.dz))
-    return PhaseVelocity(xdot, potential.differential(x) * (-rate))
+    return xdot, potential.differential(x) * (-rate)
 
 
 def characteristic_field(u: Frame, mass: float, potential: Potential,
-                         x: Event, p: FourCovector, time_rate: float) -> PhaseVelocity:
+                         x: Event, p: FourCovector,
+                         time_rate: float) -> tuple[FourVector, FourCovector]:
     """Generator of the dynamics on the mass shell, scaled by ``time_rate``.
 
     Negative rates are allowed: they span the time-reversed half of the

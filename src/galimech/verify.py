@@ -169,8 +169,8 @@ def _momentum_kick(rng) -> FourCovector:
 def _trajectory(u: Frame, mass: float, potential: Potential, x0: Event,
                 v_phys: Frame, dt: float, steps: int) -> Iterator[fd.Sample]:
     """``u``'s trajectory of a particle released at ``x0`` with four-velocity ``v_phys``."""
-    state, _ = fd.generate_from_lagrangian(u, mass, potential, x0, v_phys)
-    return fd.integrate(u, mass, potential, state, dt, steps)
+    p0, _ = fd.generate_from_lagrangian(u, mass, potential, x0, v_phys)
+    return fd.integrate(u, mass, potential, x0, p0, dt, steps)
 
 
 def trajectory_discrepancy(u1: Frame, u2: Frame, mass: float,
@@ -203,9 +203,9 @@ def rest_energy_drift(u: Frame, mass: float, potential: Potential,
     quantity every run must conserve.
     """
     def rebuilt(sample: fd.Sample) -> float:
-        state = sample.state
-        w = metric_inv(state.p * (1.0 / mass)) + u.boost()
-        return 0.5 * mass * pair_spatial(metric(w), w) + potential.value(state.x)
+        x, p = Event(*sample[:4]), SpatialCovector(*sample[4:7])
+        w = metric_inv(p * (1.0 / mass)) + u.boost()
+        return 0.5 * mass * pair_spatial(metric(w), w) + potential.value(x)
 
     return _relative_drift(map(rebuilt, samples))
 
@@ -287,18 +287,18 @@ def _check_harmonic_static(rng: random.Random, i: int) -> float:
 
 def _check_poisson_vertical(rng: random.Random, i: int) -> float:
     mass, phi = _mass(rng), _potential(rng)
-    state = fd.State(_event(rng), _spatial_covector(rng))
-    xdot_a, pdot_a = fd.vertical_field(mass, phi, state)
-    xdot_b, pdot_b = fd.poisson_field(mass, phi, state)
+    x, p = _event(rng), _spatial_covector(rng)
+    xdot_a, pdot_a = fd.vertical_field(mass, phi, x, p)
+    xdot_b, pdot_b = fd.poisson_field(mass, phi, x, p)
     return _worst((_gap(xdot_a, xdot_b), _gap(pdot_a, pdot_b)))
 
 
 def _check_lagrangian_generates(rng: random.Random, i: int) -> float:
     u, w = _frame(rng), _frame(rng)
     mass, phi, x = _mass(rng), _potential(rng), _event(rng)
-    state, tangent = fd.generate_from_lagrangian(u, mass, phi, x, w)
-    want = fd.dynamics_field(u, mass, phi, state)
-    return _worst((_gap(tangent.xdot, want.xdot), _gap(tangent.pdot, want.pdot)))
+    p, (xdot, pdot) = fd.generate_from_lagrangian(u, mass, phi, x, w)
+    want_xdot, want_pdot = fd.dynamics_field(u, mass, phi, x, p)
+    return _worst((_gap(xdot, want_xdot), _gap(pdot, want_pdot)))
 
 
 def _check_covariance(rng: random.Random, i: int) -> float:
@@ -327,7 +327,7 @@ def _check_energy_conservation(rng: random.Random, i: int) -> float:
         phi = _harmonic(rng)
         u = REST_FRAME
     mass, x0, p0 = _mass(rng), _event(rng), _spatial_covector(rng)
-    samples = fd.integrate(u, mass, phi, fd.State(x0, p0), 1e-3, 1000)
+    samples = fd.integrate(u, mass, phi, x0, p0, 1e-3, 1000)
     return _relative_drift(s.energy for s in samples)
 
 
@@ -336,8 +336,8 @@ def _check_free_particle(rng: random.Random, i: int) -> float:
     u, mass = _frame(rng), _mass(rng)
     x0, p0 = _event(rng), _spatial_covector(rng)
     v = embed(metric_inv(p0 * (1.0 / mass))) + u
-    samples = fd.integrate(u, mass, ZeroPotential(), fd.State(x0, p0), dt, 1000)
-    return _worst(_gap(sample.state.x, x0 + v * (n * dt))
+    samples = fd.integrate(u, mass, ZeroPotential(), x0, p0, dt, 1000)
+    return _worst(_gap(Event(*sample[:4]), x0 + v * (n * dt))
                   for n, sample in enumerate(samples))
 
 
@@ -392,11 +392,10 @@ def _check_characteristic_orientation(rng: random.Random, i: int) -> float:
     u, mass, phi, x = _frame(rng), _mass(rng), _potential(rng), _event(rng)
     p = hom.legendre(u, mass, phi, x, _four_velocity(rng))
     rate = _time_rate(rng)
-    point = hom.PhasePoint(x, p)
     forward = hom.characteristic_field(u, mass, phi, x, p, rate)
     backward = hom.characteristic_field(u, mass, phi, x, p, -rate)
-    return float((not hom.is_dynamics_member(u, mass, phi, point, forward))
-                 + hom.is_dynamics_member(u, mass, phi, point, backward))
+    return float((not hom.is_dynamics_member(u, mass, phi, x, p, *forward))
+                 + hom.is_dynamics_member(u, mass, phi, x, p, *backward))
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +515,12 @@ def _check_dynamics_transport(rng: random.Random, i: int) -> float:
     u1, u2 = _frame(rng), _frame(rng)
     v = _four_velocity(rng)
     p1 = hom.legendre(u1, mass, phi, x, v)
-    tangent = hom.PhaseVelocity(v, phi.differential(x) * (-pair(TIME_FORM, v)))
+    pdot = phi.differential(x) * (-pair(TIME_FORM, v))
 
     def verdicts(p: FourCovector) -> tuple[bool, bool]:
-        ok = hom.is_dynamics_member(u1, mass, phi, hom.PhasePoint(x, p), tangent)
-        moved = hom.PhasePoint(x, av.momentum_transport(mass, u1, u2, p))
-        return ok, hom.is_dynamics_member(u2, mass, phi, moved, tangent)
+        ok = hom.is_dynamics_member(u1, mass, phi, x, p, v, pdot)
+        moved = av.momentum_transport(mass, u1, u2, p)
+        return ok, hom.is_dynamics_member(u2, mass, phi, x, moved, v, pdot)
 
     ok1, ok2 = verdicts(p1)
     bad1_ok, bad2_ok = verdicts(p1 + _momentum_kick(rng))
@@ -570,8 +569,7 @@ def _check_universal_vs_frame(rng: random.Random, i: int) -> float:
     pdot = phi.differential(x) * (-pair(TIME_FORM, v))
 
     def verdicts(p: FourCovector, xdot: FourVector) -> tuple[bool, bool]:
-        return (hom.is_dynamics_member(u1, mass, phi, hom.PhasePoint(x, p),
-                                       hom.PhaseVelocity(xdot, pdot)),
+        return (hom.is_dynamics_member(u1, mass, phi, x, p, xdot, pdot),
                 av.is_universal_member(phi, x, av.affine_momentum(mass, u1, p),
                                        xdot, pdot))
 

@@ -33,7 +33,6 @@ from galimech.chart import (
 )
 from galimech.homogeneous import (
     MEMBER_TOL,
-    PhasePoint,
     characteristic_field,
     generating_family,
     homogeneous_lagrangian,
@@ -269,9 +268,9 @@ def test_universal_and_frame_membership_share_the_forward_time_guard(rate, membe
     phi = HarmonicPotential(1.0, ORIGIN)
     x = Event(0.0, 1.0, 0.0, 0.0)
     p = legendre(u, mass, phi, x, FourVector(1.0, 0.3, 0.0, 0.0))
-    vel = characteristic_field(u, mass, phi, x, p, rate)
-    frame_ok = is_dynamics_member(u, mass, phi, PhasePoint(x, p), vel)
-    uni_ok = is_universal_member(phi, x, affine_momentum(mass, u, p), vel.xdot, vel.pdot)
+    xdot, pdot = characteristic_field(u, mass, phi, x, p, rate)
+    frame_ok = is_dynamics_member(u, mass, phi, x, p, xdot, pdot)
+    uni_ok = is_universal_member(phi, x, affine_momentum(mass, u, p), xdot, pdot)
     assert (frame_ok, uni_ok) == (member, member)
 
 
@@ -279,9 +278,9 @@ def test_shell_tolerance_is_inclusive():
     """A residual of exactly MEMBER_TOL is on the shell for both shell checks."""
     # At rest, with no potential and no spatial momentum, the residual is pt.
     p = FourCovector(MEMBER_TOL, 0.0, 0.0, 0.0)
-    vel = characteristic_field(REST_FRAME, 1.0, ZeroPotential(), ORIGIN, p, 1.0)
+    xdot, pdot = characteristic_field(REST_FRAME, 1.0, ZeroPotential(), ORIGIN, p, 1.0)
     assert is_universal_member(ZeroPotential(), ORIGIN, affine_momentum(1.0, REST_FRAME, p),
-                               vel.xdot, vel.pdot)
+                               xdot, pdot)
 
 
 def test_universal_member_rejects_corruptions():

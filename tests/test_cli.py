@@ -214,6 +214,20 @@ def test_failed_run_leaves_the_output_directory_as_it_was(tmp_path, command, exi
         assert stat.S_ISFIFO(out.stat().st_mode)
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["boost", "--boost", "0.5,0,0"]],
+                         ids=["simulate", "boost"])
+def test_output_in_a_missing_directory_names_the_given_path(tmp_path, capsys, command):
+    """The error names --out as given, not the temporary file beside it."""
+    cfg = write(tmp_path, FREE)
+    out = tmp_path / "no" / "such" / "run.csv"
+    before = sorted(os.listdir(tmp_path))
+    assert main(command + ["--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: out: No such file or directory: {out}\n"
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_output_through_a_symlink_rewrites_its_target(tmp_path):
     cfg = write(tmp_path, FREE)
     fresh, target, link = tmp_path / "fresh.csv", tmp_path / "target.csv", tmp_path / "link.csv"

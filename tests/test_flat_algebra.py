@@ -173,7 +173,7 @@ def test_characteristic_rate_matches_the_typed_expression(u, mass, p, rate):
     def typed():
         return (cometric(p) * (1 / mass) + u) * rate
 
-    assert (_outcome(lambda: _characteristic(u, mass, PHI, X, p, rate).xdot)
+    assert (_outcome(lambda: _characteristic(u, mass, PHI, X, p, rate)[0])
             == _outcome(typed))
 
 

@@ -17,7 +17,6 @@ from galimech.chart import (
 )
 from galimech.frame_dynamics import (
     IntegrationDiverged,
-    State,
     dynamics_field,
     generate_from_lagrangian,
     hamiltonian,
@@ -73,17 +72,16 @@ def test_legendre_pairing_relation(u, mass, phi, x, w):
 def test_dynamics_field_oracle():
     u = Frame(1.0, 0.25, 0.0, 0.0)
     phi = HarmonicPotential(1.0, ORIGIN)
-    state = State(Event(0.0, 1.0, 2.0, 0.0), SpatialCovector(1.0, 0.0, -4.0))
-    out = dynamics_field(u, 2.0, phi, state)
-    assert out.xdot == Frame(1.0, 0.75, 0.0, -2.0)
-    assert out.pdot == SpatialCovector(-1.0, -2.0, 0.0)
+    xdot, pdot = dynamics_field(u, 2.0, phi, Event(0.0, 1.0, 2.0, 0.0),
+                                SpatialCovector(1.0, 0.0, -4.0))
+    assert xdot == Frame(1.0, 0.75, 0.0, -2.0)
+    assert pdot == SpatialCovector(-1.0, -2.0, 0.0)
 
 
 @given(masses, potentials, events, spatial_covectors)
 def test_poisson_matches_vertical(mass, phi, x, p):
-    state = State(x, p)
-    xdot_a, pdot_a = vertical_field(mass, phi, state)
-    xdot_b, pdot_b = poisson_field(mass, phi, state)
+    xdot_a, pdot_a = vertical_field(mass, phi, x, p)
+    xdot_b, pdot_b = poisson_field(mass, phi, x, p)
     assert max(abs(a - b) for a, b in zip(xdot_a.components(),
                                           xdot_b.components())) <= 1e-9
     assert pdot_a == pdot_b
@@ -92,12 +90,12 @@ def test_poisson_matches_vertical(mass, phi, x, p):
 @given(frames, masses, potentials, events, frames)
 @settings(max_examples=50)
 def test_generated_tangent_solves_the_equations(u, mass, phi, x, w):
-    state, tangent = generate_from_lagrangian(u, mass, phi, x, w)
-    assert state.p == metric(project(u, w - u)) * mass
-    want = dynamics_field(u, mass, phi, state)
-    assert max(abs(a - b) for a, b in zip(tangent.xdot.components(),
-                                          want.xdot.components())) <= 1e-12
-    assert tangent.pdot == want.pdot
+    p, (xdot, pdot) = generate_from_lagrangian(u, mass, phi, x, w)
+    assert p == metric(project(u, w - u)) * mass
+    want_xdot, want_pdot = dynamics_field(u, mass, phi, x, p)
+    assert max(abs(a - b) for a, b in zip(xdot.components(),
+                                          want_xdot.components())) <= 1e-12
+    assert pdot == want_pdot
 
 
 def test_free_particle_matches_uniform_motion():
@@ -107,29 +105,27 @@ def test_free_particle_matches_uniform_motion():
     x0 = Event(0.0, 1.0, -0.5, 0.25)
     p0 = SpatialCovector(1.0, -2.0, 0.5)
     v = metric_inv(p0 * (1.0 / mass)) + u.boost()
-    samples = list(integrate(u, mass, ZeroPotential(), State(x0, p0), 0.125, 16))
+    samples = list(integrate(u, mass, ZeroPotential(), x0, p0, 0.125, 16))
     assert len(samples) == 17
     for n, sample in enumerate(samples):
         t = 0.125 * n
         assert sample.t == t
         want = Event(x0.t + t, x0.x + v.x * t, x0.y + v.y * t, x0.z + v.z * t)
-        gap = max(abs(a - b) for a, b in zip(sample.state.x.components(),
-                                             want.components()))
+        gap = max(abs(a - b) for a, b in zip(sample[:4], want.components()))
         assert gap <= 1e-13
-        assert sample.state.p == p0
+        assert SpatialCovector(*sample[4:7]) == p0
         assert sample.energy == samples[0].energy
 
 
 def test_harmonic_rest_frame_matches_closed_form():
     samples = list(integrate(REST_FRAME, 1.0, HarmonicPotential(1.0, ORIGIN),
-                             State(Event(0.0, 1.0, 0.0, 0.0),
-                                   SpatialCovector(0.0, 0.0, 0.0)),
-                             1e-3, 1000))
+                             Event(0.0, 1.0, 0.0, 0.0),
+                             SpatialCovector(0.0, 0.0, 0.0), 1e-3, 1000))
     for sample in samples:
         t = sample.t
-        assert sample.state.x.x == pytest.approx(math.cos(t), abs=1e-10)
-        assert sample.state.p.x == pytest.approx(-math.sin(t), abs=1e-10)
-        assert sample.state.x.y == 0.0
+        assert sample.x == pytest.approx(math.cos(t), abs=1e-10)
+        assert sample.px == pytest.approx(-math.sin(t), abs=1e-10)
+        assert sample.y == 0.0
     drift = max(abs(s.energy - samples[0].energy) for s in samples)
     assert drift <= 1e-12
 
@@ -145,7 +141,7 @@ def test_harmonic_boosted_frame_matches_closed_form():
     p0 = metric(v_rel) * mass
     omega = math.sqrt(kappa / mass)
     samples = list(integrate(u, mass, HarmonicPotential(kappa, center),
-                             State(x0, p0), 1e-3, 1000))
+                             x0, p0, 1e-3, 1000))
     for sample in samples[::100]:
         t = sample.t
         c, s = math.cos(omega * t), math.sin(omega * t)
@@ -153,46 +149,42 @@ def test_harmonic_boosted_frame_matches_closed_form():
                 zip((x0.x, x0.y, x0.z), (center.x, center.y, center.z),
                     v_phys.components())):
             want = c_c + (x0_c - c_c) * c + (v_c / omega) * s
-            assert sample.state.x.components()[slot + 1] \
-                == pytest.approx(want, abs=1e-10)
+            assert sample[slot + 1] == pytest.approx(want, abs=1e-10)
 
 
 def test_energy_column_is_current_hamiltonian():
     phi = HarmonicPotential(1.0, ORIGIN)
-    samples = integrate(REST_FRAME, 1.0, phi,
-                        State(Event(0.0, 1.0, 0.0, 0.0),
-                              SpatialCovector(0.5, 0.0, 0.0)),
-                        0.01, 5)
+    samples = integrate(REST_FRAME, 1.0, phi, Event(0.0, 1.0, 0.0, 0.0),
+                        SpatialCovector(0.5, 0.0, 0.0), 0.01, 5)
     for sample in samples:
-        assert sample.energy == hamiltonian(1.0, phi, sample.state.x,
-                                            sample.state.p)
+        assert sample.energy == hamiltonian(1.0, phi, Event(*sample[:4]),
+                                            SpatialCovector(*sample[4:7]))
 
 
 def test_unstable_step_raises():
     with pytest.raises(IntegrationDiverged):
         list(integrate(REST_FRAME, 1.0, HarmonicPotential(1.0, ORIGIN),
-                       State(Event(0.0, 1.0, 0.0, 0.0),
-                             SpatialCovector(0.0, 0.0, 0.0)),
+                       Event(0.0, 1.0, 0.0, 0.0), SpatialCovector(0.0, 0.0, 0.0),
                        10.0, 500))
 
 
 def test_integrate_validates_arguments():
-    state = State(ORIGIN, SpatialCovector(0.0, 0.0, 0.0))
+    x0, p0 = ORIGIN, SpatialCovector(0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        integrate(REST_FRAME, 1.0, ZeroPotential(), state, 0.0, 10)
+        integrate(REST_FRAME, 1.0, ZeroPotential(), x0, p0, 0.0, 10)
     with pytest.raises(ValueError):
-        integrate(REST_FRAME, 1.0, ZeroPotential(), state, -1e-3, 10)
+        integrate(REST_FRAME, 1.0, ZeroPotential(), x0, p0, -1e-3, 10)
     with pytest.raises(ValueError):
-        integrate(REST_FRAME, 1.0, ZeroPotential(), state, 1e-3, 0)
+        integrate(REST_FRAME, 1.0, ZeroPotential(), x0, p0, 1e-3, 0)
     with pytest.raises(ValueError):
-        integrate(REST_FRAME, 0.0, ZeroPotential(), state, 1e-3, 1)
+        integrate(REST_FRAME, 0.0, ZeroPotential(), x0, p0, 1e-3, 1)
 
 
 @pytest.mark.parametrize("steps", [2.5, 2.0, "3"])
 def test_integrate_rejects_non_integer_steps(steps):
-    state = State(ORIGIN, SpatialCovector(0.0, 0.0, 0.0))
+    x0, p0 = ORIGIN, SpatialCovector(0.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="steps must be an integer"):
-        integrate(REST_FRAME, 1.0, ZeroPotential(), state, 1e-3, steps)
+        integrate(REST_FRAME, 1.0, ZeroPotential(), x0, p0, 1e-3, steps)
 
 
 @pytest.mark.parametrize("mass, dt, message", [
@@ -207,9 +199,9 @@ def test_integrate_rejects_non_integer_steps(steps):
 ])
 def test_integrate_checks_dt_and_mass_when_called(mass, dt, message):
     """The trajectory is lazy, the argument checks are not: no ``next`` is needed."""
-    state = State(ORIGIN, SpatialCovector(0.0, 0.0, 0.0))
+    x0, p0 = ORIGIN, SpatialCovector(0.0, 0.0, 0.0)
     with pytest.raises(ValueError, match=message):
-        integrate(REST_FRAME, mass, ZeroPotential(), state, dt, 10)
+        integrate(REST_FRAME, mass, ZeroPotential(), x0, p0, dt, 10)
 
 
 # Boost slots from desk scale to the edges of the finite floats.
@@ -235,5 +227,5 @@ def test_relative_velocity_matches_the_difference_form(u, mass, phi, x, w):
     rel = project(u, w - u)
     want = 0.5 * mass * pair_spatial(metric(rel), rel) - phi.value(x)
     assert _bits(lagrangian(u, mass, phi, x, w)) == _bits(want)
-    state, _ = generate_from_lagrangian(u, mass, phi, x, w)
-    assert _bits(*state.p.components()) == _bits(*(metric(rel) * mass).components())
+    p, _ = generate_from_lagrangian(u, mass, phi, x, w)
+    assert _bits(*p.components()) == _bits(*(metric(rel) * mass).components())

@@ -20,7 +20,6 @@ from galimech.chart import (
     pair,
 )
 from galimech.frame_dynamics import (
-    State,
     dynamics_field,
     generate_from_lagrangian,
     hamiltonian,
@@ -30,8 +29,6 @@ from galimech.frame_dynamics import (
     vertical_field,
 )
 from galimech.homogeneous import (
-    PhasePoint,
-    PhaseVelocity,
     TIME_RATE_FLOOR,
     characteristic_field,
     critical_velocity,
@@ -132,15 +129,13 @@ def test_energy_slot_moves_the_residual_linearly():
        st.floats(0.1, 3))
 def test_characteristic_flow_is_a_member(u, mass, phi, x, v, rate):
     p = legendre(u, mass, phi, x, v)
-    point = PhasePoint(x, p)
-    vel = characteristic_field(u, mass, phi, x, p, rate)
+    xdot, pdot = characteristic_field(u, mass, phi, x, p, rate)
     # Loose gate: extreme frame/rate corners push the energy-slot match
     # past the default; desk-scale cases below exercise the default.
-    assert is_dynamics_member(u, mass, phi, point, vel, tol=1e-8)
+    assert is_dynamics_member(u, mass, phi, x, p, xdot, pdot, tol=1e-8)
     # The time-reversed half solves the same characteristic equation but
     # fails the forward-cone requirement.
-    reverse = PhaseVelocity(-vel.xdot, -vel.pdot)
-    assert not is_dynamics_member(u, mass, phi, point, reverse)
+    assert not is_dynamics_member(u, mass, phi, x, p, -xdot, -pdot)
 
 
 def test_member_rejects_kicked_momentum():
@@ -148,22 +143,21 @@ def test_member_rejects_kicked_momentum():
     phi = ZeroPotential()
     v = FourVector(1.0, 0.5, 0.0, 0.0)
     p = legendre(u, 1.0, phi, ORIGIN, v)
-    vel = characteristic_field(u, 1.0, phi, ORIGIN, p, 1.0)
-    good = PhasePoint(ORIGIN, p)
-    assert is_dynamics_member(u, 1.0, phi, good, vel)
-    bad = PhasePoint(ORIGIN, p + FourCovector(0.0, 0.25, 0.0, 0.0))
-    assert not is_dynamics_member(u, 1.0, phi, bad, vel)
-    frozen = PhaseVelocity(FourVector(0.0, 0.0, 0.0, 0.0), vel.pdot)
-    assert not is_dynamics_member(u, 1.0, phi, good, frozen)
+    xdot, pdot = characteristic_field(u, 1.0, phi, ORIGIN, p, 1.0)
+    assert is_dynamics_member(u, 1.0, phi, ORIGIN, p, xdot, pdot)
+    bad = p + FourCovector(0.0, 0.25, 0.0, 0.0)
+    assert not is_dynamics_member(u, 1.0, phi, ORIGIN, bad, xdot, pdot)
+    frozen = FourVector(0.0, 0.0, 0.0, 0.0)
+    assert not is_dynamics_member(u, 1.0, phi, ORIGIN, p, frozen, pdot)
 
 
 def test_member_rejects_wrong_force():
     phi = HarmonicPotential(1.0, ORIGIN)
     x = Event(0.0, 1.0, 0.0, 0.0)
     p = legendre(REST_FRAME, 1.0, phi, x, FourVector(1.0, 0.0, 0.2, 0.0))
-    vel = characteristic_field(REST_FRAME, 1.0, phi, x, p, 1.0)
-    off = PhaseVelocity(vel.xdot, vel.pdot + FourCovector(0.0, 0.1, 0.0, 0.0))
-    assert not is_dynamics_member(REST_FRAME, 1.0, phi, PhasePoint(x, p), off)
+    xdot, pdot = characteristic_field(REST_FRAME, 1.0, phi, x, p, 1.0)
+    off = pdot + FourCovector(0.0, 0.1, 0.0, 0.0)
+    assert not is_dynamics_member(REST_FRAME, 1.0, phi, x, p, xdot, off)
 
 
 
@@ -173,13 +167,13 @@ def test_member_rejects_nan_slots(slot):
     # slot is corrupted on its own.
     u, phi = REST_FRAME, ZeroPotential()
     p = legendre(u, 1.0, phi, ORIGIN, FourVector(1.0, 0.5, 0.0, 0.0))
-    vel = characteristic_field(u, 1.0, phi, ORIGIN, p, 1.0)
-    bad_p = PhasePoint(ORIGIN, dataclasses.replace(p, **{slot: math.nan}))
-    assert not is_dynamics_member(u, 1.0, phi, bad_p, vel)
-    bad_pdot = PhaseVelocity(vel.xdot, dataclasses.replace(vel.pdot, **{slot: math.nan}))
-    assert not is_dynamics_member(u, 1.0, phi, PhasePoint(ORIGIN, p), bad_pdot)
-    stalled = PhaseVelocity(dataclasses.replace(vel.xdot, dt=math.nan), vel.pdot)
-    assert not is_dynamics_member(u, 1.0, phi, PhasePoint(ORIGIN, p), stalled)
+    xdot, pdot = characteristic_field(u, 1.0, phi, ORIGIN, p, 1.0)
+    bad_p = dataclasses.replace(p, **{slot: math.nan})
+    assert not is_dynamics_member(u, 1.0, phi, ORIGIN, bad_p, xdot, pdot)
+    bad_pdot = dataclasses.replace(pdot, **{slot: math.nan})
+    assert not is_dynamics_member(u, 1.0, phi, ORIGIN, p, xdot, bad_pdot)
+    stalled = dataclasses.replace(xdot, dt=math.nan)
+    assert not is_dynamics_member(u, 1.0, phi, ORIGIN, p, stalled, pdot)
 
 @given(frames, masses, potentials, events, four_velocities)
 def test_generating_family_vanishes_on_legendre_points(u, mass, phi, x, v):
@@ -216,10 +210,10 @@ def test_characteristic_field_spans_both_halves():
     phi = HarmonicPotential(1.0, ORIGIN)
     x = Event(0.0, 0.5, 0.0, 0.0)
     p = legendre(REST_FRAME, 2.0, phi, x, FourVector(1.0, 0.4, 0.0, 0.0))
-    forward = characteristic_field(REST_FRAME, 2.0, phi, x, p, 1.5)
-    backward = characteristic_field(REST_FRAME, 2.0, phi, x, p, -1.5)
-    assert backward.xdot == -forward.xdot
-    assert backward.pdot == -forward.pdot
+    xdot, pdot = characteristic_field(REST_FRAME, 2.0, phi, x, p, 1.5)
+    back_xdot, back_pdot = characteristic_field(REST_FRAME, 2.0, phi, x, p, -1.5)
+    assert back_xdot == -xdot
+    assert back_pdot == -pdot
 
 
 def test_zero_rate_boundary_is_guarded():
@@ -268,7 +262,7 @@ def test_mass_is_validated():
 
 
 MOVING = FourVector(1.0, 0.5, 0.0, 0.0)
-MOVING_STATE = State(ORIGIN, SpatialCovector(0.5, 0.0, 0.0))
+MOVING_Q = SpatialCovector(0.5, 0.0, 0.0)
 # On the unit-mass shell of the zero potential, moving with MOVING.
 MOVING_P = FourCovector(-0.125, 0.5, 0.0, 0.0)
 
@@ -278,21 +272,20 @@ MOVING_P = FourCovector(-0.125, 0.5, 0.0, 0.0)
     lambda m: legendre(REST_FRAME, m, ZeroPotential(), ORIGIN, MOVING),
     lambda m: homogeneous_lagrangian(REST_FRAME, m, ZeroPotential(), ORIGIN, MOVING),
     lambda m: lagrangian(REST_FRAME, m, ZeroPotential(), ORIGIN, Frame(*MOVING.components())),
-    lambda m: integrate(REST_FRAME, m, ZeroPotential(), MOVING_STATE, 0.1, 3),
+    lambda m: integrate(REST_FRAME, m, ZeroPotential(), ORIGIN, MOVING_Q, 0.1, 3),
     lambda m: AffineMomentum(m, FourCovector(0.0, 0.5, 0.0, 0.0)),
     lambda m: LagrangianValue(m, MOVING, 0.0),
-    lambda m: hamiltonian(m, ZeroPotential(), ORIGIN, MOVING_STATE.p),
-    lambda m: vertical_field(m, ZeroPotential(), MOVING_STATE),
-    lambda m: poisson_field(m, ZeroPotential(), MOVING_STATE),
-    lambda m: dynamics_field(REST_FRAME, m, ZeroPotential(), MOVING_STATE),
+    lambda m: hamiltonian(m, ZeroPotential(), ORIGIN, MOVING_Q),
+    lambda m: vertical_field(m, ZeroPotential(), ORIGIN, MOVING_Q),
+    lambda m: poisson_field(m, ZeroPotential(), ORIGIN, MOVING_Q),
+    lambda m: dynamics_field(REST_FRAME, m, ZeroPotential(), ORIGIN, MOVING_Q),
     lambda m: generate_from_lagrangian(REST_FRAME, m, ZeroPotential(), ORIGIN,
                                        Frame(*MOVING.components())),
     lambda m: lagrangian_differential(REST_FRAME, m, ZeroPotential(), ORIGIN, MOVING),
     lambda m: critical_velocity(REST_FRAME, m, MOVING_P, 1.0),
     lambda m: mass_shell_residual(REST_FRAME, m, ZeroPotential(), ORIGIN, MOVING_P),
-    lambda m: is_dynamics_member(REST_FRAME, m, ZeroPotential(),
-                                 PhasePoint(ORIGIN, MOVING_P),
-                                 PhaseVelocity(MOVING, FourCovector(0.0, 0.0, 0.0, 0.0))),
+    lambda m: is_dynamics_member(REST_FRAME, m, ZeroPotential(), ORIGIN, MOVING_P,
+                                 MOVING, FourCovector(0.0, 0.0, 0.0, 0.0)),
     lambda m: characteristic_field(REST_FRAME, m, ZeroPotential(), ORIGIN, MOVING_P, 1.0),
     lambda m: reduced_family(REST_FRAME, m, ZeroPotential(), ORIGIN, MOVING_P, 1.0),
     lambda m: generating_family(REST_FRAME, m, ZeroPotential(), ORIGIN, MOVING_P, MOVING),

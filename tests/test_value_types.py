@@ -23,8 +23,6 @@ from galimech.chart import (
     SpatialVector,
     _frozen,
 )
-from galimech.frame_dynamics import State, Tangent
-from galimech.homogeneous import PhasePoint, PhaseVelocity
 
 U = Frame(1.0, 0.5, -0.25, 0.125)
 X = Event(0.5, 1.0, -1.0, 2.0)
@@ -33,7 +31,6 @@ V = FourVector(1.5, 0.5, -0.5, 1.0)
 Q = SpatialCovector(0.25, -0.5, 1.0)
 
 VALUES = (V, P, SpatialVector(1.0, 2.0, 3.0), Q, U, X,
-          PhasePoint(X, P), PhaseVelocity(V, P), State(X, Q), Tangent(U, Q),
           LagrangianValue(1.5, V, 0.25), AffineMomentum(1.5, P))
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galimech import affine_values, frame_dynamics, homogeneous, verify
+from galimech import affine_values, homogeneous, verify
 from galimech.chart import (
     Event,
     Frame,
@@ -14,7 +14,7 @@ from galimech.chart import (
     REST_FRAME,
     SpatialCovector,
 )
-from galimech.frame_dynamics import Sample, State, generate_from_lagrangian, integrate
+from galimech.frame_dynamics import Sample, generate_from_lagrangian, integrate
 from galimech.potentials import HarmonicPotential, ZeroPotential
 from galimech.verify import (
     CHECKS,
@@ -225,8 +225,8 @@ def test_nan_gradient_is_not_an_off_shell_detection(monkeypatch):
 
 def test_initial_momentum_oracle():
     u = Frame(1.0, 0.5, 0.0, 0.0)
-    p = generate_from_lagrangian(u, 2.0, ZeroPotential(), ORIGIN,
-                                 Frame(1.0, 0.8, 0.0, 0.0))[0].p
+    p, _ = generate_from_lagrangian(u, 2.0, ZeroPotential(), ORIGIN,
+                                    Frame(1.0, 0.8, 0.0, 0.0))
     assert p.x == pytest.approx(0.6, abs=1e-15)
     assert p.y == 0.0 and p.z == 0.0
 
@@ -240,18 +240,16 @@ def test_same_frame_discrepancy_is_zero():
 
 def test_free_particle_conserves_rest_energy_exactly():
     u = Frame(1.0, 0.25, 0.0, 0.0)
-    samples = integrate(u, 2.0, ZeroPotential(),
-                        State(Event(0.0, 1.0, 0.0, 0.0),
-                              SpatialCovector(1.0, -0.5, 0.25)),
-                        0.01, 20)
+    samples = integrate(u, 2.0, ZeroPotential(), Event(0.0, 1.0, 0.0, 0.0),
+                        SpatialCovector(1.0, -0.5, 0.25), 0.01, 20)
     assert rest_energy_drift(u, 2.0, ZeroPotential(), samples) == 0.0
 
 
 def test_rest_energy_drift_reads_the_mass():
     """A boosted oscillator of mass 2 conserves its rebuilt rest energy."""
     u, phi = Frame(1.0, 0.5, 0.0, 0.0), HarmonicPotential(1.0, ORIGIN)
-    samples = integrate(u, 2.0, phi, State(Event(0.0, 1.0, 0.0, 0.0),
-                                           SpatialCovector(-1.0, 0.5, 0.0)), 1e-2, 300)
+    samples = integrate(u, 2.0, phi, Event(0.0, 1.0, 0.0, 0.0),
+                        SpatialCovector(-1.0, 0.5, 0.0), 1e-2, 300)
     assert rest_energy_drift(u, 2.0, phi, samples) <= 1e-8
 
 
@@ -278,26 +276,27 @@ _samples = st.lists(st.builds(Sample, *[st.floats()] * 8), min_size=1, max_size=
 @given(_samples, _samples)
 def test_max_event_gap_matches_the_typed_event_fold(first, second):
     """Bit-identical to folding ``_gap`` over the typed events, NaN included."""
-    want = verify._worst(verify._gap(a.state.x, b.state.x) for a, b in zip(first, second))
+    want = verify._worst(verify._gap(Event(*a[:4]), Event(*b[:4]))
+                         for a, b in zip(first, second))
     got = max_event_gap(iter(first), iter(second))
     assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
 
 
 def test_trajectory_helpers_stream_and_build_few_states(monkeypatch):
-    """The event gap reads floats; the rest energy builds each state once."""
+    """The event gap reads floats; the rest energy builds each sample's event once."""
     built = []
-    state = Sample.state.fget
+    init = Event.__init__
 
-    def counted(sample):
-        built.append(sample)
-        return state(sample)
-    monkeypatch.setattr(frame_dynamics.Sample, "state", property(counted))
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
     u = Frame(1.0, 0.25, 0.0, 0.0)
-    initial = State(Event(0.0, 1.0, 0.0, 0.0), SpatialCovector(1.0, -0.5, 0.25))
-    trajectory = integrate(u, 2.0, ZeroPotential(), initial, 0.01, 20)
+    initial = Event(0.0, 1.0, 0.0, 0.0), SpatialCovector(1.0, -0.5, 0.25)
+    monkeypatch.setattr(Event, "__init__", counted)
+    trajectory = integrate(u, 2.0, ZeroPotential(), *initial, 0.01, 20)
     assert max_event_gap(trajectory, integrate(REST_FRAME, 2.0, ZeroPotential(),
-                                               initial, 0.01, 20)) > 0.0
+                                               *initial, 0.01, 20)) > 0.0
     assert built == []
     rest_energy_drift(u, 2.0, ZeroPotential(), integrate(u, 2.0, ZeroPotential(),
-                                                         initial, 0.01, 20))
+                                                         *initial, 0.01, 20))
     assert len(built) == 21
