@@ -171,7 +171,7 @@ def _rk4(u: Frame, mass: float, potential: Potential, first: Sample,
     ht = h * (sixth * 6.0)
     t, x, y, z, px, py, pz, _ = first
     # ``tuple.__new__`` skips the keyword-handling ``Sample.__new__``.
-    new = tuple.__new__
+    new, isfinite = tuple.__new__, math.isfinite
 
     yield first
     for step in range(1, steps + 1):
@@ -203,9 +203,12 @@ def _rk4(u: Frame, mass: float, potential: Potential, first: Sample,
         py += h * (sixth * (((fy1 + 2.0 * fy2) + 2.0 * fy3) + fy4))
         pz += h * (sixth * (((fz1 + 2.0 * fz2) + 2.0 * fz3) + fz4))
 
-        if not all(map(math.isfinite, (t, x, y, z, px, py, pz))):
+        # Each ``s - s`` is 0.0 for a finite slot and NaN otherwise, so the
+        # sum is finite exactly when every slot is, and cannot overflow.
+        if not isfinite((t - t) + (x - x) + (y - y) + (z - z)
+                        + (px - px) + (py - py) + (pz - pz)):
             raise IntegrationDiverged(f"state left finite range at step {step}")
         energy = 0.5 * (px * px + py * py + pz * pz) / mass + value(t, x, y, z)
-        if not math.isfinite(energy):
+        if not isfinite(energy):
             raise IntegrationDiverged(f"energy left finite range at step {step}")
         yield new(Sample, (t, x, y, z, px, py, pz, energy))

@@ -93,7 +93,9 @@ class HarmonicPotential(Potential):
     """Isotropic spring about a center event, static in the rest chart.
 
     The displacement is measured on the rest-chart simultaneity slice,
-    so the differential never picks up a time component.
+    so the differential never picks up a time component.  Its boost term
+    ``(t - c.t) * 0.0`` stays: it decides signed zeros and carries a
+    non-finite time slot.
     """
 
     stiffness: float
@@ -104,19 +106,15 @@ class HarmonicPotential(Potential):
             raise ValueError(
                 f"stiffness must be finite and positive, got {self.stiffness!r}")
 
-    def _offset(self, t, x, y, z):
-        # Projection of the displacement from the center onto the rest
-        # frame: its boost is zero, but the ``- dt * 0.0`` term stays, as
-        # it decides signed zeros and carries a non-finite time slot.
+    # Offset inlined twice, saving a call per RK4 stage; a reference test pins both.
+    def value_at(self, t, x, y, z):
         c = self.center
         drift = (t - c.t) * 0.0
-        return x - c.x - drift, y - c.y - drift, z - c.z - drift
-
-    def value_at(self, t, x, y, z):
-        sx, sy, sz = self._offset(t, x, y, z)
+        sx, sy, sz = x - c.x - drift, y - c.y - drift, z - c.z - drift
         return 0.5 * self.stiffness * (sx * sx + sy * sy + sz * sz)
 
     def differential_at(self, t, x, y, z):
-        sx, sy, sz = self._offset(t, x, y, z)
+        c = self.center
+        drift = (t - c.t) * 0.0
         k = self.stiffness
-        return 0.0, k * sx, k * sy, k * sz
+        return 0.0, k * (x - c.x - drift), k * (y - c.y - drift), k * (z - c.z - drift)

@@ -183,7 +183,8 @@ def trajectory_discrepancy(u1: Frame, u2: Frame, mass: float,
 
 def _event_gap(a: fd.Sample, b: fd.Sample) -> float:
     """Worst gap between two samples' events, the slots ``t, x, y, z``."""
-    return _worst(abs(x - y) for x, y in zip(a[:4], b[:4]))
+    return _worst((abs(a[0] - b[0]), abs(a[1] - b[1]), abs(a[2] - b[2]),
+                   abs(a[3] - b[3])))
 
 
 def max_event_gap(first: Iterable[fd.Sample], second: Iterable[fd.Sample]) -> float:

@@ -165,6 +165,35 @@ def test_state_overflow_names_the_oracle_step():
     assert _outcome(integrate, *args) == want
 
 
+@pytest.mark.parametrize("args, want", [
+    # Each event slot is finite, but t + x (and z + y) overflows: a guard
+    # that summed the slots themselves would stop this run.
+    ((Frame(1.0, 1.0, -1.0, 0.5), 1.0, ZeroPotential(),
+      Event(1.7e308, 1.7e308, -1.7e308, -1.7e308), SpatialCovector(0.0, 0.0, 0.0),
+      1.0, 50), None),
+    # Huge finite momenta of a heavy particle: the state stays finite,
+    # p * p does not.
+    ((REST_FRAME, 1e10, ZeroPotential(), ORIGIN,
+      SpatialCovector(1.7e308, 1.7e308, -1.7e308), 1.0, 5),
+     "energy left finite range at step 1"),
+    # The time slot: 0.6e308 per step passes the largest float at step 3.
+    ((REST_FRAME, 1.0, ZeroPotential(), ORIGIN, SpatialCovector(0.0, 0.0, 0.0),
+      0.6e308, 5), "state left finite range at step 3"),
+    # px: the stages' force sum -6e308 is -inf in the first step.
+    ((REST_FRAME, 1.0, UniformPotential(FourCovector(0.0, 1e308, 0.0, 0.0)),
+      ORIGIN, SpatialCovector(0.0, 0.0, 0.0), 1e-10, 5),
+     "state left finite range at step 1"),
+    # A Kepler source 1e-105 away pulls inf * 0.0 = NaN along x.
+    ((REST_FRAME, 1.0, MovingKepler(1.0, 0.0, 0.0, 0.0), Event(0.0, 0.0, 1e-105, 0.0),
+      SpatialCovector(0.0, 0.0, 0.0), 1e-3, 5), "state left finite range at step 1"),
+], ids=["huge-finite-slots", "huge-finite-momenta", "inf-time", "inf-momentum", "nan-momentum"])
+def test_state_guard_matches_the_oracle(args, want):
+    """Finite means every slot finite, not their sum; the step and message match."""
+    got = _outcome(integrate, *args)
+    assert got == _outcome(_object_integrate, *args)
+    assert (got[1] if got[0] == "diverged" else None) == want
+
+
 def test_unstable_harmonic_step_names_the_oracle_step():
     """Position and momentum grow together; the squared momentum overflows first."""
     args = (REST_FRAME, 1.0, HarmonicPotential(1.0, ORIGIN),
@@ -335,6 +364,36 @@ def test_moving_kepler_events_agree_across_frames():
     gap = trajectory_discrepancy(KEPLER_U, other, 1.0, KEPLER, KEPLER_X0,
                                  KEPLER_W, 20.0 / 4000, 4000)
     assert gap <= 1e-9
+
+
+# A close approach: in the frame drifting at 2**58 along x, the particle
+# runs at 2**60 and the source at 2**59, so with dt = 2**-60 each step
+# moves them exactly 1 and 1/2 along x, from 4 apart.  Elsewhere the pull
+# is below half an ulp of the momentum, so the path is straight to the
+# bit until the last stage of step 8 puts both at the same x, the impact
+# parameter apart.  Below about 1.8e-103 the force there overflows (the
+# state guard fires), above it the momentum squared does (the energy
+# guard); both stop the run.
+CLOSE_SOURCE = MovingKepler(1.0, 2.0 ** 59, 0.0, 0.0)
+CLOSE_U = Frame(1.0, 2.0 ** 58, 0.0, 0.0)
+CLOSE_P0 = SpatialCovector(3.0 * 2.0 ** 58, 0.0, 0.0)
+_impacts = st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-357, -291))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_impacts, st.sampled_from((-1.0, 1.0)),
+       st.one_of(st.sampled_from((0.0, -0.0)), _impacts))
+def test_moving_kepler_close_approach_diverges(by, sign, bz):
+    """Impact parameters from 2**-358 to 2**-290 end the run, never in a non-finite sample."""
+    args = (CLOSE_U, 1.0, CLOSE_SOURCE, Event(0.0, -4.0, sign * by, bz), CLOSE_P0,
+            2.0 ** -60, 16)
+    samples = []
+    with pytest.raises(IntegrationDiverged, match="left finite range at step 8$"):
+        for sample in integrate(*args):
+            samples.append(sample)
+    assert len(samples) == 8
+    assert all(map(math.isfinite, (v for sample in samples for v in sample)))
+    assert _outcome(integrate, *args) == _outcome(_object_integrate, *args)
 
 
 # -- hot-loop guard -------------------------------------------------------

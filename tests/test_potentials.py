@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from galimech.chart import Event, FourCovector, ORIGIN, SpatialCovector, restrict
 from galimech.potentials import (
@@ -93,6 +93,32 @@ def test_harmonic_drift_decides_the_signed_zero(t, sign):
     phi = HarmonicPotential(2.0, Event(1.0, 0.0, 0.0, 0.0))
     _, *spatial = phi.differential_at(t, -0.0, -0.0, -0.0)
     assert [math.copysign(1.0, d) for d in spatial] == [sign] * 3
+
+
+def _offset(phi, t, x, y, z):
+    """The rest-frame offset as one helper, which both methods inline: the reference."""
+    c = phi.center
+    drift = (t - c.t) * 0.0
+    return x - c.x - drift, y - c.y - drift, z - c.z - drift
+
+
+_signed = st.one_of(scalars, st.sampled_from((0.0, -0.0)))
+# +-1.7e308 against -+1.7e308 makes t - c.t overflow: NaN, as at a non-finite t.
+_times = st.one_of(_signed, st.sampled_from(
+    (math.inf, -math.inf, math.nan, 1.7e308, -1.7e308)))
+_reference_events = st.builds(Event, _times, _signed, _signed, _signed)
+
+
+@settings(max_examples=300)
+@given(st.floats(0.2, 5), _reference_events, _reference_events)
+def test_harmonic_methods_match_the_offset_reference(stiffness, center, x):
+    """Both inlined copies of the offset give the reference's bits, slot for slot."""
+    phi = HarmonicPotential(stiffness, center)
+    sx, sy, sz = _offset(phi, *x.components())
+    value = 0.5 * stiffness * (sx * sx + sy * sy + sz * sz)
+    assert repr(phi.value_at(*x.components())) == repr(value)
+    assert list(map(repr, phi.differential_at(*x.components()))) == list(map(
+        repr, (0.0, stiffness * sx, stiffness * sy, stiffness * sz)))
 
 
 @given(potentials, events)
