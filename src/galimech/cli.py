@@ -31,10 +31,10 @@ from .verify import max_event_gap, render_report, run_checks
 
 __all__ = ["main"]
 
-_CSV_HEADER = "step,t,x,y,z,px,py,pz,energy"
-# The step index, then a sample's eight floats: "%.17g" writes the same
-# bytes as format(v, ".17g").
-_CSV_ROW = "%d" + ",%.17g" * 8
+_CSV_HEADER = ",".join(("step", *Sample._fields))
+# The step index, then a sample's floats: "%.17g" writes the same bytes
+# as format(v, ".17g").
+_CSV_ROW = "%d" + ",%.17g" * len(Sample._fields)
 _CSV_LINE = _CSV_ROW + "\n"
 
 # Options whose value is a number and may start with "-".
@@ -115,7 +115,7 @@ def _cmd_boost(args) -> int:
 
     # The two runs advance together: the first section goes straight to
     # the output, the second to a scratch file appended once both end.
-    # Samples are finite, so no gap is NaN and the fold reads both to the end.
+    # Only finite samples are yielded: no gap is NaN, so the fold reads both to the end.
     with (_replacing(args.out) as handle,
           tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as later):
         discrepancy = max_event_gap(_csv_rows(first, handle),

@@ -34,6 +34,7 @@ from .chart import (
     metric_inv,
     pair_spatial,
     project,
+    restrict,
 )
 from .homogeneous import _require_mass
 from .potentials import Potential
@@ -109,7 +110,7 @@ def vertical_field(mass: float, potential: Potential, x: Event,
                    p: SpatialCovector) -> tuple[SpatialVector, SpatialCovector]:
     """Frame-independent part of the dynamics: relative velocity and force."""
     _require_mass(mass)
-    return metric_inv(p * (1.0 / mass)), -potential.spatial_gradient(x)
+    return metric_inv(p * (1.0 / mass)), -restrict(potential.differential(x))
 
 
 def poisson_field(mass: float, potential: Potential, x: Event,
@@ -121,7 +122,7 @@ def poisson_field(mass: float, potential: Potential, x: Event,
     """
     _require_mass(mass)
     dh_dp = SpatialVector(p.x / mass, p.y / mass, p.z / mass)
-    dh_dx = potential.spatial_gradient(x)
+    dh_dx = restrict(potential.differential(x))
     return (dh_dp, -dh_dx)
 
 
@@ -135,7 +136,7 @@ def generate_from_lagrangian(u: Frame, mass: float, potential: Potential,
     """
     _require_mass(mass)
     rel = project(u, w)
-    return metric(rel) * mass, (w, -potential.spatial_gradient(x))
+    return metric(rel) * mass, (w, -restrict(potential.differential(x)))
 
 
 def integrate(u: Frame, mass: float, potential: Potential, x: Event,
@@ -145,7 +146,7 @@ def integrate(u: Frame, mass: float, potential: Potential, x: Event,
     The arguments are checked when ``integrate`` is called; the samples
     are computed as the returned iterator is advanced, which raises
     IntegrationDiverged as soon as any state component leaves the finite
-    floats, or the energy does.
+    floats, or the energy does, the start included (step 0).
     """
     _require_mass(mass)
     if not dt > 0:
@@ -154,54 +155,52 @@ def integrate(u: Frame, mass: float, potential: Potential, x: Event,
         raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps!r}")
-    first = Sample(x.t, x.x, x.y, x.z, p.x, p.y, p.z,
-                   hamiltonian(mass, potential, x, p))
-    return _rk4(u, mass, potential, first, dt, steps)
+    return _rk4(u, mass, potential, (*x.components(), *p.components()), dt, steps)
 
 
-def _rk4(u: Frame, mass: float, potential: Potential, first: Sample,
-         dt: float, steps: int) -> Iterator[Sample]:
-    # The kernel: ``dynamics_field`` and the RK4 combination on plain
-    # floats, in exactly their operation order, so every bit matches the
-    # value-object form.  The time slot of every rate is the frame's 1.
+def _rk4(u: Frame, mass: float, potential: Potential,
+         start: tuple[float, ...], dt: float, steps: int) -> Iterator[Sample]:
+    # The kernel: ``dynamics_field``, the RK4 combination and ``hamiltonian``
+    # on plain floats, in exactly their operation order, so every bit matches
+    # the value-object form.  The time slot of every rate is the frame's 1.
     dphi, value = potential.differential_at, potential.value_at
     inv_mass = 1.0 / mass
     ux, uy, uz = u.dx, u.dy, u.dz
     h, hh, sixth = dt, 0.5 * dt, 1.0 / 6.0
     ht = h * (sixth * 6.0)
-    t, x, y, z, px, py, pz, _ = first
+    t, x, y, z, px, py, pz = start
     # ``tuple.__new__`` skips the keyword-handling ``Sample.__new__``.
     new, isfinite = tuple.__new__, math.isfinite
 
-    yield first
-    for step in range(1, steps + 1):
-        ax1, ay1, az1 = px * inv_mass + ux, py * inv_mass + uy, pz * inv_mass + uz
-        _, gx, gy, gz = dphi(t, x, y, z)
-        fx1, fy1, fz1 = -gx, -gy, -gz
+    for step in range(steps + 1):
+        if step:
+            ax1, ay1, az1 = px * inv_mass + ux, py * inv_mass + uy, pz * inv_mass + uz
+            _, gx, gy, gz = dphi(t, x, y, z)
+            fx1, fy1, fz1 = -gx, -gy, -gz
 
-        t2 = t + hh
-        qx, qy, qz = px + hh * fx1, py + hh * fy1, pz + hh * fz1
-        ax2, ay2, az2 = qx * inv_mass + ux, qy * inv_mass + uy, qz * inv_mass + uz
-        _, gx, gy, gz = dphi(t2, x + hh * ax1, y + hh * ay1, z + hh * az1)
-        fx2, fy2, fz2 = -gx, -gy, -gz
+            t2 = t + hh
+            qx, qy, qz = px + hh * fx1, py + hh * fy1, pz + hh * fz1
+            ax2, ay2, az2 = qx * inv_mass + ux, qy * inv_mass + uy, qz * inv_mass + uz
+            _, gx, gy, gz = dphi(t2, x + hh * ax1, y + hh * ay1, z + hh * az1)
+            fx2, fy2, fz2 = -gx, -gy, -gz
 
-        qx, qy, qz = px + hh * fx2, py + hh * fy2, pz + hh * fz2
-        ax3, ay3, az3 = qx * inv_mass + ux, qy * inv_mass + uy, qz * inv_mass + uz
-        _, gx, gy, gz = dphi(t2, x + hh * ax2, y + hh * ay2, z + hh * az2)
-        fx3, fy3, fz3 = -gx, -gy, -gz
+            qx, qy, qz = px + hh * fx2, py + hh * fy2, pz + hh * fz2
+            ax3, ay3, az3 = qx * inv_mass + ux, qy * inv_mass + uy, qz * inv_mass + uz
+            _, gx, gy, gz = dphi(t2, x + hh * ax2, y + hh * ay2, z + hh * az2)
+            fx3, fy3, fz3 = -gx, -gy, -gz
 
-        qx, qy, qz = px + h * fx3, py + h * fy3, pz + h * fz3
-        ax4, ay4, az4 = qx * inv_mass + ux, qy * inv_mass + uy, qz * inv_mass + uz
-        _, gx, gy, gz = dphi(t + h, x + h * ax3, y + h * ay3, z + h * az3)
-        fx4, fy4, fz4 = -gx, -gy, -gz
+            qx, qy, qz = px + h * fx3, py + h * fy3, pz + h * fz3
+            ax4, ay4, az4 = qx * inv_mass + ux, qy * inv_mass + uy, qz * inv_mass + uz
+            _, gx, gy, gz = dphi(t + h, x + h * ax3, y + h * ay3, z + h * az3)
+            fx4, fy4, fz4 = -gx, -gy, -gz
 
-        t += ht
-        x += h * (sixth * (((ax1 + 2.0 * ax2) + 2.0 * ax3) + ax4))
-        y += h * (sixth * (((ay1 + 2.0 * ay2) + 2.0 * ay3) + ay4))
-        z += h * (sixth * (((az1 + 2.0 * az2) + 2.0 * az3) + az4))
-        px += h * (sixth * (((fx1 + 2.0 * fx2) + 2.0 * fx3) + fx4))
-        py += h * (sixth * (((fy1 + 2.0 * fy2) + 2.0 * fy3) + fy4))
-        pz += h * (sixth * (((fz1 + 2.0 * fz2) + 2.0 * fz3) + fz4))
+            t += ht
+            x += h * (sixth * (((ax1 + 2.0 * ax2) + 2.0 * ax3) + ax4))
+            y += h * (sixth * (((ay1 + 2.0 * ay2) + 2.0 * ay3) + ay4))
+            z += h * (sixth * (((az1 + 2.0 * az2) + 2.0 * az3) + az4))
+            px += h * (sixth * (((fx1 + 2.0 * fx2) + 2.0 * fx3) + fx4))
+            py += h * (sixth * (((fy1 + 2.0 * fy2) + 2.0 * fy3) + fy4))
+            pz += h * (sixth * (((fz1 + 2.0 * fz2) + 2.0 * fz3) + fz4))
 
         # Each ``s - s`` is 0.0 for a finite slot and NaN otherwise, so the
         # sum is finite exactly when every slot is, and cannot overflow.

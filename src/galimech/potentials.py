@@ -8,9 +8,9 @@ fall back on finite differences.
 A kind is defined once, on chart coordinates: ``value_at(t, x, y, z)``
 and ``differential_at(t, x, y, z) -> (dt, dx, dy, dz)``.  The
 integrator's hot loop calls only these.  ``Potential`` derives the typed
-``value``, ``differential`` and ``spatial_gradient`` from them; a
-subclass that redefines one of those is a ``TypeError``, so a force can
-never split from its value.
+``value`` and ``differential`` from them; a subclass that redefines
+either is a ``TypeError``, so a force can never split from its value.
+An observer's force is ``restrict(differential(x))`` (up to sign).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chart import ORIGIN, Event, FourCovector, SpatialCovector
+from .chart import ORIGIN, Event, FourCovector
 
 __all__ = ["Potential", "ZeroPotential", "UniformPotential", "HarmonicPotential"]
 
@@ -28,8 +28,7 @@ class Potential:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        redefined = sorted(vars(cls).keys()
-                           & {"value", "differential", "spatial_gradient"})
+        redefined = sorted(vars(cls).keys() & {"value", "differential"})
         if redefined:
             raise TypeError(
                 f"{cls.__name__} redefines {', '.join(redefined)}: a potential "
@@ -49,11 +48,6 @@ class Potential:
 
     def differential(self, x: Event) -> FourCovector:
         return FourCovector(*self.differential_at(x.t, x.x, x.y, x.z))
-
-    def spatial_gradient(self, x: Event) -> SpatialCovector:
-        """Force covector (up to sign): the differential on spatial directions."""
-        _, gx, gy, gz = self.differential_at(x.t, x.x, x.y, x.z)
-        return SpatialCovector(gx, gy, gz)
 
 
 @dataclass(frozen=True)

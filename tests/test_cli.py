@@ -216,6 +216,25 @@ def test_failed_run_leaves_the_output_directory_as_it_was(tmp_path, command, exi
 
 @pytest.mark.parametrize("command", [["simulate"], ["boost", "--boost", "0.5,0,0"]],
                          ids=["simulate", "boost"])
+@pytest.mark.parametrize("existing", [False, True], ids=["no-out", "old-out"])
+def test_non_finite_start_exits_3_at_step_0(tmp_path, capsys, command, existing):
+    """The start's energy overflows: one error line, nothing written anywhere."""
+    cfg = write(tmp_path, HARMONIC.replace("x0 = 0, 1, 0, 0", "x0 = 0, 1e200, 0, 0"))
+    out = tmp_path / "run.csv"
+    if existing:
+        out.write_bytes(b"step,earlier\r\n0,run\r\n")
+    before = sorted(os.listdir(tmp_path))
+    assert main(command + ["--config", cfg, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: energy left finite range at step 0\n"
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == before
+    if existing:
+        assert out.read_bytes() == b"step,earlier\r\n0,run\r\n"
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["boost", "--boost", "0.5,0,0"]],
+                         ids=["simulate", "boost"])
 def test_output_in_a_missing_directory_names_the_given_path(tmp_path, capsys, command):
     """The error names --out as given, not the temporary file beside it."""
     cfg = write(tmp_path, FREE)

@@ -121,16 +121,11 @@ def test_harmonic_methods_match_the_offset_reference(stiffness, center, x):
         repr, (0.0, stiffness * sx, stiffness * sy, stiffness * sz)))
 
 
-@given(potentials, events)
-def test_spatial_gradient_restricts_differential(phi, x):
-    assert phi.spatial_gradient(x) == restrict(phi.differential(x))
-
-
 @given(events)
 def test_uniform_time_slot_moves_value_not_force(x):
     still = UniformPotential(FourCovector(0.0, 1.0, -2.0, 0.5))
     drifting = UniformPotential(FourCovector(0.7, 1.0, -2.0, 0.5))
-    assert drifting.spatial_gradient(x) == still.spatial_gradient(x)
+    assert restrict(drifting.differential(x)) == restrict(still.differential(x))
     assert drifting.value(x) - still.value(x) == pytest.approx(0.7 * x.t, abs=1e-12)
 
 
@@ -151,15 +146,15 @@ def test_gradient_matches_finite_differences():
 @given(st.one_of(potentials, st.just(Saddle())),
        st.builds(Event, *[st.one_of(scalars, st.sampled_from((-0.0, math.nan)))] * 4))
 def test_float_methods_match_object_methods(phi, x):
-    """``value``/``differential``/``spatial_gradient`` carry the float methods' bits."""
+    """``value``/``differential`` and the force they restrict to carry the float bits."""
     d = phi.differential_at(*x.components())
     assert repr(phi.value(x)) == repr(phi.value_at(*x.components()))
     assert list(map(repr, phi.differential(x).components())) == list(map(repr, d))
-    assert list(map(repr, phi.spatial_gradient(x).components())) \
+    assert list(map(repr, restrict(phi.differential(x)).components())) \
         == list(map(repr, d[1:]))
 
 
-@pytest.mark.parametrize("name", ["value", "differential", "spatial_gradient"])
+@pytest.mark.parametrize("name", ["value", "differential"])
 def test_subclass_redefining_an_object_method_is_rejected(name):
     """A redefined object method would split the force from the value."""
     def doubled(self, x):
