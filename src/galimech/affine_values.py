@@ -10,10 +10,10 @@ Class equality is componentwise equality of the stored normal form; the
 defining cross-frame relations are exercised by the verification suites
 rather than used as the runtime representation.
 
-Typed values are the interface; inside, the frame shift and the momentum
-re-expressions read slots as floats and build only the values they
-return, in the operation order of the typed expression each slot stands
-for.
+Typed values are the interface; inside, the frame shift, the momentum
+re-expressions, the shell function, the Morse family and the universal
+verdict read slots as floats and build only the values they return, in
+the operation order of the typed expression each slot stands for.
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ from .chart import (
     REST_FRAME,
     TIME_FORM,
     _frozen,
-    cometric,
     pair,
 )
-from .homogeneous import (MEMBER_TOL, TIME_RATE_FLOOR, _characteristic, _require_mass,
-                          _within, homogeneous_lagrangian, legendre)
+from .homogeneous import (MEMBER_TOL, TIME_RATE_FLOOR, _momentum_rate, _position_rate,
+                          _require_mass, _within, homogeneous_lagrangian, legendre)
 from .potentials import Potential
 
 __all__ = [
@@ -140,9 +139,13 @@ def fiber_difference(a: LagrangianValue, b: LagrangianValue) -> float:
     Defined only for values over the same velocity.
     """
     _require_same_mass(a.mass, b.mass)
-    if not _within(a.velocity, b.velocity, _FIBER_TOL):
-        raise ValueError("values lie over different velocities")
+    _require_same_fiber(a.velocity, b.velocity)
     return b.value - a.value
+
+
+def _require_same_fiber(v: FourVector, w: FourVector):
+    if not _within(v.components(), w.components(), _FIBER_TOL):
+        raise ValueError("values lie over different velocities")
 
 
 def affine_lagrangian(mass: float, potential: Potential, x: Event,
@@ -188,8 +191,10 @@ def shell_function(momentum: AffineMomentum) -> float:
     Every frame computes the same number from its own representative;
     equals minus the potential exactly on dynamical momenta.
     """
-    p = momentum.p
-    return 0.5 * pair(p, cometric(p)) / momentum.mass + pair(p, REST_FRAME)
+    pt, px, py, pz = momentum.p.components()
+    # 0.5 * pair(p, cometric(p)) / mass + pair(p, REST_FRAME), slot by slot.
+    return (0.5 * (pt * 0.0 + px * px + py * py + pz * pz) / momentum.mass
+            + (pt * 1.0 + px * 0.0 + py * 0.0 + pz * 0.0))
 
 
 def affine_eval(w: LagrangianValue, momentum: AffineMomentum) -> float:
@@ -220,8 +225,13 @@ def morse_family(potential: Potential, x: Event, momentum: AffineMomentum,
     fiber difference is a plain scalar; it is stationary in ``v``
     exactly when ``momentum`` is the Legendre image of ``v``.
     """
-    return fiber_difference(affine_lagrangian(momentum.mass, potential, x, v),
-                            affine_pairing(momentum, v))
+    # fiber_difference(affine_lagrangian(...), affine_pairing(momentum, v)) in floats,
+    # less the rest chart's own shift: a signed zero, which cannot move a lagrangian
+    # (never -0.0), or NaN, only for a velocity that fails the fiber check.
+    value = homogeneous_lagrangian(REST_FRAME, momentum.mass, potential, x, v)
+    pairing = pair(momentum.p, v)
+    _require_same_fiber(v, v)
+    return pairing - value
 
 
 def is_universal_member(potential: Potential, x: Event,
@@ -238,6 +248,6 @@ def is_universal_member(potential: Potential, x: Event,
         return False
     if not abs(shell_function(momentum) + potential.value(x)) <= MEMBER_TOL:
         return False
-    want_xdot, want_pdot = _characteristic(REST_FRAME, momentum.mass, potential,
-                                           x, momentum.p, r)
-    return _within(xdot, want_xdot, MEMBER_TOL) and _within(pdot, want_pdot, MEMBER_TOL)
+    want = (*_position_rate(REST_FRAME, momentum.mass, momentum.p, r),
+            *_momentum_rate(potential, x, r))
+    return _within((*xdot.components(), *pdot.components()), want, MEMBER_TOL)

@@ -116,13 +116,15 @@ def _cmd_boost(args) -> int:
     # The two runs advance together: the first section goes straight to
     # the output, the second to a scratch file appended once both end.
     # Only finite samples are yielded: no gap is NaN, so the fold reads both to the end.
+    # Write-only: a readable text file resets its decoder on every write.
     with (_replacing(args.out) as handle,
-          tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as later):
+          tempfile.TemporaryFile("w", encoding="utf-8", newline="") as later):
         discrepancy = max_event_gap(_csv_rows(first, handle),
                                     _csv_rows(second, later))
         later.seek(0)
         handle.write("\n")
-        shutil.copyfileobj(later, handle)
+        with open(later.fileno(), encoding="utf-8", newline="", closefd=False) as section:
+            shutil.copyfileobj(section, handle)
         handle.write(f"\nmax_event_discrepancy={_fmt(discrepancy)}\n")
     if discrepancy <= cfg.tol:
         return 0

@@ -13,6 +13,8 @@ of the typed expression each slot stands for.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import le, sub
 
 from .chart import (
     Event,
@@ -66,8 +68,8 @@ def _require_time_rate(time_rate: float):
 
 
 def _within(a, b, tol: float) -> bool:
-    """Whether every slot of ``a - b`` is at most ``tol``; a NaN slot is not."""
-    return all(abs(x - y) <= tol for x, y in zip(a.components(), b.components()))
+    """Whether each |a_i - b_i| of slot sequences is at most ``tol``; NaN is not."""
+    return all(map(le, map(abs, map(sub, a, b)), repeat(tol)))
 
 
 def homogeneous_lagrangian(u: Frame, mass: float, potential: Potential,
@@ -92,7 +94,7 @@ def lagrangian_differential(u: Frame, mass: float, potential: Potential,
     """
     _require_mass(mass)
     s = _time_rate(v)
-    base = potential.differential(x) * (-s)
+    base = FourCovector(*_momentum_rate(potential, x, s))
     return base, _legendre(u, mass, potential, x, v, s)
 
 
@@ -105,6 +107,8 @@ def _shell_energy(u: Frame, mass: float, phi: float, px: float, py: float,
     rounds it correctly: the near-cancelling shell terms cannot bury the
     1e-12 shell tolerance.  Each axis's kinetic and drift terms share the
     denominator b·b·f of p = a/b and u = e/f, which leaves five terms.
+    Denominators are powers of two: a term's exponent plus 3 is a sum of bit
+    lengths, d the largest, so D = 2^(d - 3) and left shifts align numerators.
     Slots convert in argument order (p, mass, u, phi, pt, u.dt), so the
     first non-finite one names the error.
     """
@@ -113,13 +117,14 @@ def _shell_energy(u: Frame, mass: float, phi: float, px: float, py: float,
     (ex, fx), (ey, fy) = u.dx.as_integer_ratio(), u.dy.as_integer_ratio()
     (ez, fz), (h, hd) = u.dz.as_integer_ratio(), phi.as_integer_ratio()
     (c, cd), (e, ed) = pt.as_integer_ratio(), u.dt.as_integer_ratio()
-    m2 = 2 * mn
-    kx, ky, kz, ke = bx * bx * fx, by * by * fy, bz * bz * fz, cd * ed
-    d = max(kx, ky, kz, hd, ke)
-    return ((ax * (ax * md * fx + m2 * ex * bx) * (d // kx)
-             + ay * (ay * md * fy + m2 * ey * by) * (d // ky)
-             + az * (az * md * fz + m2 * ez * bz) * (d // kz)
-             + m2 * (h * (d // hd) + c * e * (d // ke))) / (m2 * d))
+    m2, kh, ke = 2 * mn, hd.bit_length() + 2, cd.bit_length() + ed.bit_length() + 1
+    kx, ky = 2 * bx.bit_length() + fx.bit_length(), 2 * by.bit_length() + fy.bit_length()
+    kz = 2 * bz.bit_length() + fz.bit_length()
+    d = max(kx, ky, kz, kh, ke)
+    return (((ax * (ax * md * fx + m2 * ex * bx)) << d - kx)
+            + ((ay * (ay * md * fy + m2 * ey * by)) << d - ky)
+            + ((az * (az * md * fz + m2 * ez * bz)) << d - kz)
+            + m2 * ((h << d - kh) + (c * e << d - ke))) / (m2 << d - 3)
 
 
 def _legendre(u: Frame, mass: float, potential: Potential, x: Event,
@@ -184,9 +189,10 @@ def is_dynamics_member(u: Frame, mass: float, potential: Potential, x: Event,
     s = pair(TIME_FORM, xdot)
     if not s > TIME_RATE_FLOOR:
         return False
-    if not _within(p, _legendre(u, mass, potential, x, xdot, s), tol):
+    if not _within(p.components(),
+                   _legendre(u, mass, potential, x, xdot, s).components(), tol):
         return False
-    return _within(pdot, potential.differential(x) * (-s), tol)
+    return _within(pdot.components(), _momentum_rate(potential, x, s), tol)
 
 
 def generating_family(u: Frame, mass: float, potential: Potential, x: Event,
@@ -206,18 +212,19 @@ def reduced_family(u: Frame, mass: float, potential: Potential, x: Event,
     return time_rate * mass_shell_residual(u, mass, potential, x, p)
 
 
-def _characteristic(u: Frame, mass: float, potential: Potential, x: Event,
-                    p: FourCovector, rate: float) -> tuple[FourVector, FourCovector]:
-    """The hamiltonian generator at ``rate`` through (x, p), shell unchecked.
-
-    The position rate is (cometric(p) * (1 / mass) + u) * rate, one slot
-    at a time.  Its ``a * 0.0`` term is cometric's zero time slot: it
-    stays, as an infinite 1 / mass makes it NaN.
-    """
+def _position_rate(u: Frame, mass: float, p: FourCovector, rate: float):
+    """The slots of (cometric(p) * (1 / mass) + u) * rate."""
     a = 1.0 / mass
-    xdot = FourVector(rate * (a * 0.0 + u.dt), rate * (a * p.px + u.dx),
-                      rate * (a * p.py + u.dy), rate * (a * p.pz + u.dz))
-    return xdot, potential.differential(x) * (-rate)
+    # ``a * 0.0`` is cometric's zero time slot, kept: an infinite 1 / mass makes it NaN.
+    return (rate * (a * 0.0 + u.dt), rate * (a * p.px + u.dx),
+            rate * (a * p.py + u.dy), rate * (a * p.pz + u.dz))
+
+
+def _momentum_rate(potential: Potential, x: Event, rate: float):
+    """The slots of potential.differential(x) * (-rate)."""
+    r = -rate
+    gt, gx, gy, gz = potential.differential_at(x.t, x.x, x.y, x.z)
+    return r * gt, r * gx, r * gy, r * gz
 
 
 def characteristic_field(u: Frame, mass: float, potential: Potential,
@@ -233,4 +240,5 @@ def characteristic_field(u: Frame, mass: float, potential: Potential,
     residual = mass_shell_residual(u, mass, potential, x, p)
     if abs(residual) > MEMBER_TOL:
         raise ValueError(f"momentum is off shell, residual {residual!r}")
-    return _characteristic(u, mass, potential, x, p, time_rate)
+    return (FourVector(*_position_rate(u, mass, p, time_rate)),
+            FourCovector(*_momentum_rate(potential, x, time_rate)))

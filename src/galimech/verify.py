@@ -147,7 +147,10 @@ def _worst(errors: Iterable[float]) -> float:
 
 
 def _gap(a, b) -> float:
-    return _worst(map(abs, map(sub, a.components(), b.components())))
+    # ``_worst`` by builtin folds: no gap is negative, so one NaN makes the sum NaN.
+    gaps = list(map(abs, map(sub, a.components(), b.components())))
+    total = sum(gaps)
+    return total if total != total else max(gaps)
 
 
 def _value_gap(a: av.LagrangianValue, b: av.LagrangianValue) -> float:
@@ -213,7 +216,9 @@ def rest_energy_drift(u: Frame, mass: float, potential: Potential,
 
 def _relative_drift(energies: Iterator[float]) -> float:
     """Worst departure of ``energies`` from the first, over max(1, |first|)."""
-    first = next(energies)
+    first = next(energies, None)
+    if first is None:
+        raise ValueError("energy drift: no samples")
     scale = max(1.0, abs(first))
     return _worst(abs(e - first) for e in chain((first,), energies)) / scale
 
@@ -664,11 +669,14 @@ def _trial_errors(trial: Callable, rng: random.Random, seed: int,
                   n: int) -> Iterator[float]:
     """Errors of trials 0..n-1, lazily; ``rng`` is reseeded before each.
 
-    ``seed`` also clears the cached ``gauss`` draw, so trial i sees the
+    For an int, ``Random.seed`` is the base-class seed plus ``gauss_next =
+    None``; both run here without its Python frame, so trial i sees the
     stream of a fresh ``random.Random(seed + i)``.
     """
+    reseed = super(random.Random, rng).seed
     for i in range(n):
-        rng.seed(seed + i)
+        reseed(seed + i)
+        rng.gauss_next = None
         yield trial(rng, i)
 
 

@@ -351,6 +351,10 @@ TINY = 2.2250738585072014e-308
          FourCovector(-1e300, 1e-300, 1e-300, -1e-300))
 @example(Frame(1.0, 0.3, 0.1, -0.7), 1 / 3, 1e-300, FourCovector(1e300, 1e150, 0.0, 0.0))
 @example(Frame(NEAR_ONE[0], 0.1, 0.2, 0.3), 0.7, 0.9, FourCovector(0.1, 1e-5, 0.3, -0.3))
+# Both ends of the shift alignment: 2^-1074 slots beside 1.7e308 ones.
+@example(Frame(1.0, 1.7e308, 0.0, -SUB), 1.0, 1.0, FourCovector(-1.0, SUB, 0.0, -SUB))
+@example(Frame(NEAR_ONE[1], 1.7e308, SUB, 0.0), SUB, -SUB,
+         FourCovector(1.7e308, SUB, -SUB, 0.0))
 @given(wide_frames, wide_masses, slots, st.builds(FourCovector, slots, slots, slots, slots))
 def test_mass_shell_residual_matches_fraction_oracle(u, mass, phi, p):
     potential, x = _constant(phi)

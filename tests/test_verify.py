@@ -245,6 +245,11 @@ def test_free_particle_conserves_rest_energy_exactly():
     assert rest_energy_drift(u, 2.0, ZeroPotential(), samples) == 0.0
 
 
+def test_rest_energy_drift_of_no_samples_is_a_value_error():
+    with pytest.raises(ValueError, match="^energy drift: no samples$"):
+        rest_energy_drift(REST_FRAME, 1.0, ZeroPotential(), [])
+
+
 def test_rest_energy_drift_reads_the_mass():
     """A boosted oscillator of mass 2 conserves its rebuilt rest energy."""
     u, phi = Frame(1.0, 0.5, 0.0, 0.0), HarmonicPotential(1.0, ORIGIN)

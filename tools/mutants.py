@@ -1,9 +1,11 @@
 """Mutation probe: which one-line changes to ``src/galimech`` go unnoticed.
 
-Run from anywhere, with no arguments:
+Run from anywhere, on every module or on the named ones:
 
     python3 tools/mutants.py
+    python3 tools/mutants.py homogeneous.py verify.py
 
+A name that is not a module of ``src/galimech`` is an error (exit 2).
 Each mutant makes one change to one module:
 
 - a statement in a function body becomes ``pass`` (docstrings and
@@ -212,11 +214,16 @@ def _survivors(pool: ThreadPoolExecutor, kills, candidates: list[Mutant],
     return left
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
     package = ROOT / PACKAGE
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(package.glob("*.py"))}
-    everything = [m for module, source in sources.items() for m in mutants(module, source)]
+    unknown = [name for name in names if name not in sources]
+    if unknown:
+        print(f"error: not a module of {PACKAGE}: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    probed = [module for module in sources if not names or module in names]
+    everything = [m for module in probed for m in mutants(module, sources[module])]
     # Inherited by every child: a mutant that allocates without bound
     # fails with MemoryError instead of exhausting the machine.
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_BYTES, ADDRESS_SPACE_BYTES))
@@ -232,7 +239,7 @@ def main() -> int:
     print(f"{'module':<20}{'mutants':>8}{'verify':>8}{'pytest':>8}{'killed':>10}"
           f"{'survive':>8}")
     for name, keep in [(module, lambda m, module=module: m.module == module)
-                       for module in sources] + [("total", lambda m: True)]:
+                       for module in probed] + [("total", lambda m: True)]:
         total, past, left = (sum(map(keep, group))
                              for group in (everything, past_verify, survivors))
         print(f"{name:<20}{total:>8}{total - past:>8}{past - left:>8}"
@@ -243,4 +250,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
