@@ -163,6 +163,9 @@ def _rk4(u: Frame, mass: float, potential: Potential,
     # The kernel: ``dynamics_field``, the RK4 combination and ``hamiltonian``
     # on plain floats, in exactly their operation order, so every bit matches
     # the value-object form.  The time slot of every rate is the frame's 1.
+    # Forces are negated gradients: ``p - hh * g`` and ``-g1 - 2.0 * g2`` are
+    # ``p + hh * f`` and ``f1 + 2.0 * f2`` bit for bit.  ``p -= h * (g1 + ...)``
+    # is not: where the forces cancel, it keeps a -0.0 momentum that they make +0.0.
     dphi, value = potential.differential_at, potential.value_at
     inv_mass = 1.0 / mass
     ux, uy, uz = u.dx, u.dy, u.dz
@@ -175,32 +178,28 @@ def _rk4(u: Frame, mass: float, potential: Potential,
     for step in range(steps + 1):
         if step:
             ax1, ay1, az1 = px * inv_mass + ux, py * inv_mass + uy, pz * inv_mass + uz
-            _, gx, gy, gz = dphi(t, x, y, z)
-            fx1, fy1, fz1 = -gx, -gy, -gz
+            _, gx1, gy1, gz1 = dphi(t, x, y, z)
 
             t2 = t + hh
-            qx, qy, qz = px + hh * fx1, py + hh * fy1, pz + hh * fz1
+            qx, qy, qz = px - hh * gx1, py - hh * gy1, pz - hh * gz1
             ax2, ay2, az2 = qx * inv_mass + ux, qy * inv_mass + uy, qz * inv_mass + uz
-            _, gx, gy, gz = dphi(t2, x + hh * ax1, y + hh * ay1, z + hh * az1)
-            fx2, fy2, fz2 = -gx, -gy, -gz
+            _, gx2, gy2, gz2 = dphi(t2, x + hh * ax1, y + hh * ay1, z + hh * az1)
 
-            qx, qy, qz = px + hh * fx2, py + hh * fy2, pz + hh * fz2
+            qx, qy, qz = px - hh * gx2, py - hh * gy2, pz - hh * gz2
             ax3, ay3, az3 = qx * inv_mass + ux, qy * inv_mass + uy, qz * inv_mass + uz
-            _, gx, gy, gz = dphi(t2, x + hh * ax2, y + hh * ay2, z + hh * az2)
-            fx3, fy3, fz3 = -gx, -gy, -gz
+            _, gx3, gy3, gz3 = dphi(t2, x + hh * ax2, y + hh * ay2, z + hh * az2)
 
-            qx, qy, qz = px + h * fx3, py + h * fy3, pz + h * fz3
+            qx, qy, qz = px - h * gx3, py - h * gy3, pz - h * gz3
             ax4, ay4, az4 = qx * inv_mass + ux, qy * inv_mass + uy, qz * inv_mass + uz
-            _, gx, gy, gz = dphi(t + h, x + h * ax3, y + h * ay3, z + h * az3)
-            fx4, fy4, fz4 = -gx, -gy, -gz
+            _, gx4, gy4, gz4 = dphi(t + h, x + h * ax3, y + h * ay3, z + h * az3)
 
             t += ht
             x += h * (sixth * (((ax1 + 2.0 * ax2) + 2.0 * ax3) + ax4))
             y += h * (sixth * (((ay1 + 2.0 * ay2) + 2.0 * ay3) + ay4))
             z += h * (sixth * (((az1 + 2.0 * az2) + 2.0 * az3) + az4))
-            px += h * (sixth * (((fx1 + 2.0 * fx2) + 2.0 * fx3) + fx4))
-            py += h * (sixth * (((fy1 + 2.0 * fy2) + 2.0 * fy3) + fy4))
-            pz += h * (sixth * (((fz1 + 2.0 * fz2) + 2.0 * fz3) + fz4))
+            px += h * (sixth * (((-gx1 - 2.0 * gx2) - 2.0 * gx3) - gx4))
+            py += h * (sixth * (((-gy1 - 2.0 * gy2) - 2.0 * gy3) - gy4))
+            pz += h * (sixth * (((-gz1 - 2.0 * gz2) - 2.0 * gz3) - gz4))
 
         # Each ``s - s`` is 0.0 for a finite slot and NaN otherwise, so the
         # sum is finite exactly when every slot is, and cannot overflow.

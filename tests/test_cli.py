@@ -8,7 +8,10 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from galimech.cli import _CSV_ROW, main
+from galimech.chart import Frame, SpatialVector, metric
+from galimech.cli import _BLOCK, _CSV_FIELDS, main
+from galimech.config import load_config
+from galimech.frame_dynamics import integrate
 from galimech.verify import CHECKS
 
 HEADER = "step,t,x,y,z,px,py,pz,energy"
@@ -282,26 +285,99 @@ _row_floats = st.one_of(st.floats(), st.sampled_from(
 @given(st.integers(0, 10**18), st.tuples(*[_row_floats] * 8))
 @example(2**63 + 1, (-0.0, 5e-324, 1e300, -1e300, 1e-310, 0.1, 1 / 3, -2.5))
 def test_csv_row_format_writes_the_17_digit_bytes(step, row):
+    """A row is its step's digits, then the sample's floats by ``_CSV_FIELDS``."""
     want = ",".join((str(step), *(format(v, ".17g") for v in row)))
-    assert _CSV_ROW % (step, *row) == want
+    assert b"%d" % step + _CSV_FIELDS % row == (want + "\n").encode()
 
 
-def _simulate_peak_bytes(tmp_path, steps: int) -> int:
+def _per_row_section(samples) -> str:
+    """The CSV section of ``samples``, built one row at a time."""
+    rows = (",".join((str(step), *(format(v, ".17g") for v in sample)))
+            for step, sample in enumerate(samples))
+    return "".join(row + "\n" for row in (HEADER, *rows))
+
+
+@pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK])
+def test_block_boundaries_write_the_per_row_bytes(tmp_path, count):
+    """``count`` samples per run: both outputs match a row-by-row rendering."""
+    cfg = write(tmp_path, HARMONIC.replace("steps = 6284", f"steps = {count - 1}")
+                + "frame = 0.3, -0.2, 0.1\n")
+    run, boost = load_config(cfg), SpatialVector(0.7, 0.0, -0.25)
+    first = list(integrate(run.frame, run.mass, run.potential, run.x0, run.p0,
+                           run.dt, run.steps))
+    second = list(integrate(Frame.from_boost(run.frame.boost() + boost), run.mass,
+                            run.potential, run.x0, run.p0 - metric(boost) * run.mass,
+                            run.dt, run.steps))
+    assert len(first) == len(second) == count
+    gap = max(abs(a[i] - b[i]) for a, b in zip(first, second) for i in range(4))
+    simulated, boosted = tmp_path / "simulate.csv", tmp_path / "boost.txt"
+    assert main(["simulate", "--config", cfg, "--out", str(simulated)]) == 0
+    assert main(["boost", "--config", cfg, "--boost", "0.7,0,-0.25",
+                 "--out", str(boosted)]) == 0
+    assert simulated.read_bytes() == _per_row_section(first).encode()
+    assert boosted.read_bytes() == (
+        _per_row_section(first) + "\n" + _per_row_section(second)
+        + f"\nmax_event_discrepancy={format(gap, '.17g')}\n").encode()
+
+
+# The boosted run's momentum starts 1e154 further out, so under the same
+# force its energy overflows at step 4, the configured run's at step 14.
+LOCKSTEP = """\
+mass = 1.0
+potential.kind = uniform
+potential.k = 0, -1e153, 0, 0
+x0 = 0, 0, 0, 0
+v0 = 0, 0, 0
+dt = 1
+steps = 100
+"""
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["no-out", "old-out"])
+def test_boost_names_the_first_step_to_diverge_in_either_frame(tmp_path, capsys, existing):
+    """The runs advance in lockstep, so the earlier step raises, even within one block."""
+    assert 14 < _BLOCK
+    cfg = write(tmp_path, LOCKSTEP)
+    out = tmp_path / "run.csv"
+    if existing:
+        out.write_bytes(b"step,earlier\r\n0,run\r\n")
+    before = sorted(os.listdir(tmp_path))
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: energy left finite range at step 14\n"
+    assert main(["boost", "--config", cfg, "--boost=-1e154,0,0", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: energy left finite range at step 4\n"
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == before
+    if existing:
+        assert out.read_bytes() == b"step,earlier\r\n0,run\r\n"
+
+
+def _peak_bytes(tmp_path, command, steps: int) -> int:
     cfg = write(tmp_path, HARMONIC.replace("steps = 6284", f"steps = {steps}"))
     tracemalloc.start()
     try:
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run.csv")]) == 0
+        assert main([*command, "--config", cfg, "--out", str(tmp_path / "run.csv")]) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+def _assert_flat_memory(tmp_path, command, steps: int):
+    _peak_bytes(tmp_path, command, steps)  # warm-up: lazy imports and caches
+    small = _peak_bytes(tmp_path, command, steps)
+    large = _peak_bytes(tmp_path, command, 20 * steps)
+    assert large <= 2 * small, (small, large)
+
+
 def test_simulate_memory_does_not_grow_with_steps(tmp_path):
     """Rows are streamed to the file: 20x the steps stays within 2x the memory."""
-    _simulate_peak_bytes(tmp_path, 1000)  # warm-up: lazy imports and caches
-    small = _simulate_peak_bytes(tmp_path, 1000)
-    large = _simulate_peak_bytes(tmp_path, 20000)
-    assert large <= 2 * small, (small, large)
+    _assert_flat_memory(tmp_path, ["simulate"], 1000)
+
+
+def test_boost_memory_does_not_grow_with_steps(tmp_path):
+    """Neither section is held: the second goes to a file until both runs end."""
+    _assert_flat_memory(tmp_path, ["boost", "--boost", "0.7,0,0"], 500)
 
 
 def test_boost_zero_is_exact(tmp_path):

@@ -10,7 +10,7 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from galimech import frame_dynamics as fd
 from galimech.affine_values import momentum_transport
@@ -161,6 +161,14 @@ potentials = st.one_of(
        st.builds(SpatialCovector, scalars, scalars, scalars),
        st.floats(1e-4, 0.5), st.integers(1, 50))
 @settings(max_examples=200, deadline=None)
+# Signed zeros: the first step runs from t = -0.25 to 0.25, so stage forces
+# proportional to t cancel exactly, and a -0.0 momentum slot comes out
+# +0.0, as the forces' sum makes it.  Subtracting the summed gradients
+# from p would keep -0.0.
+@example(REST_FRAME, 1.0, TiltedWell(1.0, 0.0, 0.0), Event(-0.25, 0.0, 0.0, 0.0),
+         SpatialCovector(-0.0, 0.0, -0.0), 0.5, 1)
+@example(Frame(1.0, 0.5, -0.0, 0.25), 2.0, Ramp(1.0, -1.0, 0.5),
+         Event(-0.25, 1.0, 0.0, -0.0), SpatialCovector(-0.0, -0.0, -0.0), 0.5, 2)
 def test_kernel_matches_object_rk4_bit_for_bit(u, mass, phi, x0, p0, dt, steps):
     args = (u, mass, phi, x0, p0, dt, steps)
     assert _outcome(integrate, *args) == _outcome(_object_integrate, *args)
