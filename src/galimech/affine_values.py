@@ -66,15 +66,20 @@ def frame_shift(u1: Frame, u2: Frame) -> FourCovector:
     slots are those of dual_lift(mid, metric(delta)), for the midpoint
     frame ``mid`` and the boost difference ``delta``, built directly.
     """
+    return FourCovector(*_shift_slots(u1, u2))
+
+
+def _shift_slots(u1: Frame, u2: Frame) -> tuple[float, float, float, float]:
     mx, my, mz = 0.5 * (u1.dx + u2.dx), 0.5 * (u1.dy + u2.dy), 0.5 * (u1.dz + u2.dz)
     qx, qy, qz = u1.dx - u2.dx, u1.dy - u2.dy, u1.dz - u2.dz
-    return FourCovector(-(qx * mx + qy * my + qz * mz), qx, qy, qz)
+    return -(qx * mx + qy * my + qz * mz), qx, qy, qz
 
 
-def _shifted(p: FourCovector, mass: float, shift: FourCovector) -> FourCovector:
-    """p + mass * shift, built as the one covector it is."""
-    return FourCovector(p.pt + mass * shift.pt, p.px + mass * shift.px,
-                        p.py + mass * shift.py, p.pz + mass * shift.pz)
+def _shifted(p: FourCovector, mass: float, u1: Frame, u2: Frame) -> FourCovector:
+    """p + mass * frame_shift(u1, u2), built as the one covector it is."""
+    st, sx, sy, sz = _shift_slots(u1, u2)
+    return FourCovector(p.pt + mass * st, p.px + mass * sx,
+                        p.py + mass * sy, p.pz + mass * sz)
 
 
 def _require_same_mass(a: float, b: float):
@@ -119,7 +124,9 @@ def lagrangian_value(mass: float, frame: Frame, velocity: FourVector,
 
     Different frames reporting the same motion give equal classes.
     """
-    shift = mass * pair(frame_shift(frame, REST_FRAME), velocity)
+    st, sx, sy, sz = _shift_slots(frame, REST_FRAME)
+    shift = mass * (st * velocity.dt + sx * velocity.dx
+                    + sy * velocity.dy + sz * velocity.dz)
     return LagrangianValue(mass, velocity, value + shift)
 
 
@@ -176,13 +183,13 @@ class AffineMomentum:
 
 def affine_momentum(mass: float, frame: Frame, p: FourCovector) -> AffineMomentum:
     """Class of the momentum ``p`` as reported by ``frame``."""
-    return AffineMomentum(mass, _shifted(p, mass, frame_shift(frame, REST_FRAME)))
+    return AffineMomentum(mass, _shifted(p, mass, frame, REST_FRAME))
 
 
 def momentum_transport(mass: float, u_from: Frame, u_to: Frame,
                        p: FourCovector) -> FourCovector:
     """Re-express a momentum report in another frame, same class."""
-    return _shifted(p, mass, frame_shift(u_from, u_to))
+    return _shifted(p, mass, u_from, u_to)
 
 
 def shell_function(momentum: AffineMomentum) -> float:

@@ -5,12 +5,13 @@ its restriction to a simultaneity slice depends on who is watching.
 Each kind carries its exact differential so the dynamics never has to
 fall back on finite differences.
 
-A kind is defined once, on chart coordinates: ``value_at(t, x, y, z)``
-and ``differential_at(t, x, y, z) -> (dt, dx, dy, dz)``.  The
-integrator's hot loop calls only these.  ``Potential`` derives the typed
-``value`` and ``differential`` from them; a subclass that redefines
-either is a ``TypeError``, so a force can never split from its value.
-An observer's force is ``restrict(differential(x))`` (up to sign).
+A kind is defined once, on chart coordinates: ``value_at(t, x, y, z)`` and
+``differential_at(t, x, y, z) -> (dt, dx, dy, dz)``.  The integrator's hot
+loop calls only these; the uniform and harmonic kinds evaluate them from
+one float tuple of their fields, stored when built.  ``Potential`` derives
+the typed ``value`` and ``differential`` from them; a subclass redefining
+either is a ``TypeError``, so a force can never split from its value.  An
+observer's force is ``restrict(differential(x))`` (up to sign).
 """
 
 from __future__ import annotations
@@ -71,15 +72,17 @@ class UniformPotential(Potential):
 
     slope: FourCovector
 
+    def __post_init__(self):
+        object.__setattr__(self, "_constants", self.slope.components())
+
     def value_at(self, t, x, y, z):
         # The pairing with the displacement from ORIGIN, whose
         # coordinates are all zero.
-        k = self.slope
-        return k.pt * t + k.px * x + k.py * y + k.pz * z
+        pt, px, py, pz = self._constants
+        return pt * t + px * x + py * y + pz * z
 
     def differential_at(self, t, x, y, z):
-        k = self.slope
-        return k.pt, k.px, k.py, k.pz
+        return self._constants
 
 
 @dataclass(frozen=True)
@@ -96,19 +99,19 @@ class HarmonicPotential(Potential):
     center: Event = ORIGIN
 
     def __post_init__(self):
-        if not (math.isfinite(self.stiffness) and self.stiffness > 0):
-            raise ValueError(
-                f"stiffness must be finite and positive, got {self.stiffness!r}")
+        k = self.stiffness
+        if not (math.isfinite(k) and k > 0):
+            raise ValueError(f"stiffness must be finite and positive, got {k!r}")
+        object.__setattr__(self, "_constants", (*self.center.components(), k))
 
     # Offset inlined twice, saving a call per RK4 stage; a reference test pins both.
     def value_at(self, t, x, y, z):
-        c = self.center
-        drift = (t - c.t) * 0.0
-        sx, sy, sz = x - c.x - drift, y - c.y - drift, z - c.z - drift
-        return 0.5 * self.stiffness * (sx * sx + sy * sy + sz * sz)
+        ct, cx, cy, cz, k = self._constants
+        drift = (t - ct) * 0.0
+        sx, sy, sz = x - cx - drift, y - cy - drift, z - cz - drift
+        return 0.5 * k * (sx * sx + sy * sy + sz * sz)
 
     def differential_at(self, t, x, y, z):
-        c = self.center
-        drift = (t - c.t) * 0.0
-        k = self.stiffness
-        return 0.0, k * (x - c.x - drift), k * (y - c.y - drift), k * (z - c.z - drift)
+        ct, cx, cy, cz, k = self._constants
+        drift = (t - ct) * 0.0
+        return 0.0, k * (x - cx - drift), k * (y - cy - drift), k * (z - cz - drift)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -119,6 +120,66 @@ def test_harmonic_methods_match_the_offset_reference(stiffness, center, x):
     assert repr(phi.value_at(*x.components())) == repr(value)
     assert list(map(repr, phi.differential_at(*x.components()))) == list(map(
         repr, (0.0, stiffness * sx, stiffness * sy, stiffness * sz)))
+
+
+# Any float in any slot: signed zeros, infinities and NaN, time slot included.
+_any = st.one_of(_signed, st.sampled_from((math.inf, -math.inf, math.nan)), st.floats())
+_any_events = st.builds(Event, _any, _any, _any, _any)
+
+
+def _hex(values) -> tuple[str, ...]:
+    return tuple("nan" if v != v else v.hex() for v in values)
+
+
+def _uniform_reference(phi, t, x, y, z):
+    """Value and differential of a uniform potential, read from its ``slope`` field."""
+    k = phi.slope
+    return k.pt * t + k.px * x + k.py * y + k.pz * z, (k.pt, k.px, k.py, k.pz)
+
+
+def _harmonic_reference(phi, t, x, y, z):
+    """Value and differential of a spring, read from its ``stiffness`` and ``center``."""
+    k, (sx, sy, sz) = phi.stiffness, _offset(phi, t, x, y, z)
+    return 0.5 * k * (sx * sx + sy * sy + sz * sz), (0.0, k * sx, k * sy, k * sz)
+
+
+def _assert_matches_fields(phi, x):
+    reference = {UniformPotential: _uniform_reference,
+                 HarmonicPotential: _harmonic_reference}[type(phi)]
+    value, differential = reference(phi, *x.components())
+    assert _hex((phi.value_at(*x.components()),)) == _hex((value,))
+    assert _hex(phi.differential_at(*x.components())) == _hex(differential)
+
+
+_stiffnesses = st.one_of(st.floats(0.2, 5), st.floats(5e-324, 1.7e308))
+_any_uniform = st.builds(UniformPotential, st.builds(FourCovector, _any, _any, _any, _any))
+_any_harmonic = st.builds(HarmonicPotential, _stiffnesses, _any_events)
+
+
+@settings(max_examples=300)
+@given(st.one_of(_any_uniform, _any_harmonic), _any_events)
+def test_builtin_methods_match_the_field_reference(phi, x):
+    """The stored constants give the bits of the field expressions, slot for slot."""
+    _assert_matches_fields(phi, x)
+
+
+@given(_any_uniform, _any_harmonic, _any_uniform, _any_harmonic, _any_events)
+def test_replaced_fields_reach_the_next_call(uniform, spring, other, other_spring, x):
+    """``dataclasses.replace`` builds anew, so the stored constants never go stale."""
+    for phi in (uniform, spring):
+        _assert_matches_fields(phi, x)
+    _assert_matches_fields(dataclasses.replace(uniform, slope=other.slope), x)
+    _assert_matches_fields(dataclasses.replace(spring, stiffness=other_spring.stiffness), x)
+    _assert_matches_fields(dataclasses.replace(spring, center=other_spring.center), x)
+
+
+def test_builtin_fields_stay_frozen():
+    for phi, name, value in [(UniformPotential(FourCovector(1.0, 2.0, 3.0, 4.0)), "slope",
+                              FourCovector(0.0, 0.0, 0.0, 0.0)),
+                             (HarmonicPotential(1.0), "stiffness", 2.0),
+                             (HarmonicPotential(1.0), "center", Event(1.0, 1.0, 1.0, 1.0))]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(phi, name, value)
 
 
 @given(events)

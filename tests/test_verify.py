@@ -1,6 +1,8 @@
 import dataclasses
+import io
 import math
 import random
+from itertools import starmap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +16,10 @@ from galimech.chart import (
     REST_FRAME,
     SpatialCovector,
 )
-from galimech.frame_dynamics import Sample, generate_from_lagrangian, integrate
-from galimech.potentials import HarmonicPotential, ZeroPotential
+from galimech.cli import _BLOCK, _csv_sections
+from galimech.frame_dynamics import (IntegrationDiverged, Sample, generate_from_lagrangian,
+                                     integrate)
+from galimech.potentials import HarmonicPotential, UniformPotential, ZeroPotential
 from galimech.verify import (
     CHECKS,
     Check,
@@ -203,8 +207,8 @@ def test_runner_sums_verdicts_and_takes_the_worst_error(monkeypatch):
 def test_nan_errors_fail_their_suite(monkeypatch):
     # A NaN anywhere in a trial, or in any trial, must reach the report:
     # the builtin max keeps its running value when compared with NaN.
-    nan = FourCovector(math.nan, math.nan, math.nan, math.nan)
-    monkeypatch.setattr(affine_values, "frame_shift", lambda u1, u2: nan)
+    nan = (math.nan, math.nan, math.nan, math.nan)
+    monkeypatch.setattr(affine_values, "_shift_slots", lambda u1, u2: nan)
     lift = homogeneous._legendre
     monkeypatch.setattr(homogeneous, "_legendre", lambda *args: dataclasses.replace(
         lift(*args), pt=math.nan))
@@ -274,6 +278,16 @@ def test_canonical_case_meets_the_published_gates():
     assert canonical_energy_drift() <= 1e-8
 
 
+def _typed_event_fold(first, second) -> float:
+    """The reference: ``_gap`` on each pair of typed events, folded by ``_worst``."""
+    return verify._worst(verify._gap(Event(*a[:4]), Event(*b[:4]))
+                         for a, b in zip(first, second))
+
+
+def _hex(value: float) -> str:
+    return "nan" if value != value else value.hex()
+
+
 _samples = st.lists(st.builds(Sample, *[st.floats()] * 8), min_size=1, max_size=6)
 
 
@@ -281,10 +295,70 @@ _samples = st.lists(st.builds(Sample, *[st.floats()] * 8), min_size=1, max_size=
 @given(_samples, _samples)
 def test_max_event_gap_matches_the_typed_event_fold(first, second):
     """Bit-identical to folding ``_gap`` over the typed events, NaN included."""
-    want = verify._worst(verify._gap(Event(*a[:4]), Event(*b[:4]))
-                         for a, b in zip(first, second))
     got = max_event_gap(iter(first), iter(second))
-    assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
+    assert _hex(got) == _hex(_typed_event_fold(first, second))
+
+
+def _boost_fold(first, second) -> float:
+    """``boost``'s discrepancy: ``_block_gap`` over the blocks ``_csv_sections`` writes."""
+    handles = io.BytesIO(), io.BytesIO()
+    return verify._worst(starmap(verify._block_gap,
+                                 _csv_sections((iter(first), iter(second)), handles)))
+
+
+def _sample_runs(count: int, seed: int) -> tuple[list[Sample], list[Sample]]:
+    rng = random.Random(seed)
+    return tuple([Sample(*(rng.uniform(-2.0, 2.0) for _ in range(8))) for _ in range(count)]
+                 for _ in range(2))
+
+
+@pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("late", [(), ("inf",), ("nan",), ("inf", "nan"), ("nan", "inf")])
+def test_event_folds_match_the_typed_event_fold(count, late):
+    """``boost``'s block fold and ``max_event_gap`` give the per-sample fold's bits.
+
+    ``late`` puts an infinite or NaN gap into ``boost``'s last block: the
+    first named at its last step, the second at its first step.
+    """
+    first, second = _sample_runs(count, count)
+    last = (count - 1) // _BLOCK * _BLOCK
+    for step, slot, kind in zip((count - 1, last), (1, 2), late):
+        a, b = list(first[step]), list(second[step])
+        a[slot], b[slot] = (1e308, -1e308) if kind == "inf" else (math.nan, 0.5)
+        first[step], second[step] = Sample(*a), Sample(*b)
+    want = _typed_event_fold(first, second)
+    assert math.isnan(want) == ("nan" in late)
+    assert want == math.inf or math.isnan(want) or not late
+    assert _hex(max_event_gap(iter(first), iter(second))) == _hex(want)
+    assert _hex(_boost_fold(first, second)) == _hex(want)
+
+
+def test_block_fold_of_equal_runs_is_positive_zero():
+    first, _ = _sample_runs(33, 1)
+    negated_zero = [Sample(*(-0.0 * v for v in sample)) for sample in first]
+    zero = [Sample(*(0.0 * v for v in sample)) for sample in first]
+    for a, b in [(first, first), (zero, negated_zero), (negated_zero, zero)]:
+        assert max_event_gap(iter(a), iter(b)).hex() == "0x0.0p+0"
+        assert _boost_fold(a, b).hex() == "0x0.0p+0"
+
+
+def test_max_event_gap_of_no_samples_is_zero():
+    assert max_event_gap(iter(()), iter(())).hex() == "0x0.0p+0"
+
+
+def test_max_event_gap_raises_where_the_second_run_diverges_first():
+    """Lockstep: a run overflowing at step 4 raises before one overflowing at step 14."""
+    phi = UniformPotential(FourCovector(0.0, -1e153, 0.0, 0.0))
+
+    def run(px):
+        return integrate(REST_FRAME, 1.0, phi, ORIGIN, SpatialCovector(px, 0.0, 0.0),
+                         1.0, 100)
+    with pytest.raises(IntegrationDiverged, match="at step 14$"):
+        list(run(0.0))
+    with pytest.raises(IntegrationDiverged, match="at step 4$"):
+        max_event_gap(run(0.0), run(1e154))
+    with pytest.raises(IntegrationDiverged, match="at step 4$"):
+        max_event_gap(run(1e154), run(0.0))
 
 
 def test_trajectory_helpers_stream_and_build_few_states(monkeypatch):
