@@ -29,7 +29,7 @@ from .chart import Frame, SpatialCovector, SpatialVector, embed, metric
 from .config import ConfigError, RunConfig, _float, _floats, _positive, load_config
 from .frame_dynamics import Sample, integrate
 from .homogeneous import legendre, mass_shell_residual
-from .verify import _block_gap, _worst, render_report, run_checks
+from .verify import _worst, max_event_gap, render_report, run_checks
 
 __all__ = ["main"]
 
@@ -133,7 +133,7 @@ def _cmd_boost(args) -> int:
     # The event gap is folded per block.  Only finite samples are yielded:
     # no gap is NaN, so the fold reads both to the end.
     with _replacing(args.out) as handle, tempfile.TemporaryFile() as later:
-        discrepancy = _worst(starmap(_block_gap,
+        discrepancy = _worst(starmap(max_event_gap,
                                      _csv_sections((first, second), (handle, later))))
         later.seek(0)
         handle.write(b"\n")

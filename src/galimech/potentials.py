@@ -7,11 +7,11 @@ fall back on finite differences.
 
 A kind is defined once, on chart coordinates: ``value_at(t, x, y, z)`` and
 ``differential_at(t, x, y, z) -> (dt, dx, dy, dz)``.  The integrator's hot
-loop calls only these; the uniform and harmonic kinds evaluate them from
-one float tuple of their fields, stored when built.  ``Potential`` derives
-the typed ``value`` and ``differential`` from them; a subclass redefining
-either is a ``TypeError``, so a force can never split from its value.  An
-observer's force is ``restrict(differential(x))`` (up to sign).
+loop calls only these; the uniform kind evaluates them from its slope's
+float slots, stored when built.  ``Potential`` derives the typed ``value``
+and ``differential`` from them; a subclass redefining either is a
+``TypeError``, so a force can never split from its value.  An observer's
+force is ``restrict(differential(x))`` (up to sign).
 """
 
 from __future__ import annotations
@@ -99,19 +99,19 @@ class HarmonicPotential(Potential):
     center: Event = ORIGIN
 
     def __post_init__(self):
-        k = self.stiffness
-        if not (math.isfinite(k) and k > 0):
-            raise ValueError(f"stiffness must be finite and positive, got {k!r}")
-        object.__setattr__(self, "_constants", (*self.center.components(), k))
+        if not (math.isfinite(self.stiffness) and self.stiffness > 0):
+            raise ValueError(
+                f"stiffness must be finite and positive, got {self.stiffness!r}")
 
     # Offset inlined twice, saving a call per RK4 stage; a reference test pins both.
     def value_at(self, t, x, y, z):
-        ct, cx, cy, cz, k = self._constants
-        drift = (t - ct) * 0.0
-        sx, sy, sz = x - cx - drift, y - cy - drift, z - cz - drift
-        return 0.5 * k * (sx * sx + sy * sy + sz * sz)
+        c = self.center
+        drift = (t - c.t) * 0.0
+        sx, sy, sz = x - c.x - drift, y - c.y - drift, z - c.z - drift
+        return 0.5 * self.stiffness * (sx * sx + sy * sy + sz * sz)
 
     def differential_at(self, t, x, y, z):
-        ct, cx, cy, cz, k = self._constants
-        drift = (t - ct) * 0.0
-        return 0.0, k * (x - cx - drift), k * (y - cy - drift), k * (z - cz - drift)
+        c = self.center
+        drift = (t - c.t) * 0.0
+        k = self.stiffness
+        return 0.0, k * (x - c.x - drift), k * (y - c.y - drift), k * (z - c.z - drift)

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, islice
-from operator import itemgetter, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain
+from operator import sub
+from typing import Callable, Iterable, Iterator
 
 from . import affine_values as av
 from . import frame_dynamics as fd
@@ -147,12 +147,8 @@ def _worst(errors: Iterable[float]) -> float:
 
 
 def _gap(a, b) -> float:
-    return _slots_gap(a.components(), b.components())
-
-
-def _slots_gap(a: Iterable[float], b: Iterable[float]) -> float:
     # ``_worst`` by builtin folds: no gap is negative, so one NaN makes the sum NaN.
-    gaps = list(map(abs, map(sub, a, b)))
+    gaps = list(map(abs, map(sub, a.components(), b.components())))
     total = sum(gaps)
     return total if total != total else max(gaps)
 
@@ -188,21 +184,18 @@ def trajectory_discrepancy(u1: Frame, u2: Frame, mass: float,
                          _trajectory(u2, mass, potential, x0, v_phys, dt, steps))
 
 
-def _block_gap(first: Sequence[fd.Sample], second: Sequence[fd.Sample]) -> float:
-    """``_gap`` on the events ``t, x, y, z`` of a block of sample pairs, all at once."""
-    return _slots_gap(chain.from_iterable(islice(zip(*first), 4)),
-                      chain.from_iterable(islice(zip(*second), 4)))
+def _event_gap(a: fd.Sample, b: fd.Sample) -> float:
+    """Worst gap between two samples' events, the slots ``t, x, y, z``."""
+    return _worst((abs(a[0] - b[0]), abs(a[1] - b[1]), abs(a[2] - b[2]),
+                   abs(a[3] - b[3])))
 
 
 def max_event_gap(first: Iterable[fd.Sample], second: Iterable[fd.Sample]) -> float:
     """Worst event gap between two trajectories, compared step by step.
 
-    Both are consumed in lockstep, so whichever fails first raises.  Each
-    step's gap is ``_gap``'s fold; unlike ``boost``, which already holds
-    a block of each run, no block is held.
+    Both are consumed together, one sample of each at a time.
     """
-    event = itemgetter(slice(4))  # the slots t, x, y, z
-    return _worst(map(_slots_gap, map(event, first), map(event, second)))
+    return _worst(map(_event_gap, first, second))
 
 
 def rest_energy_drift(u: Frame, mass: float, potential: Potential,

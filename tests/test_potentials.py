@@ -159,27 +159,21 @@ _any_harmonic = st.builds(HarmonicPotential, _stiffnesses, _any_events)
 @settings(max_examples=300)
 @given(st.one_of(_any_uniform, _any_harmonic), _any_events)
 def test_builtin_methods_match_the_field_reference(phi, x):
-    """The stored constants give the bits of the field expressions, slot for slot."""
+    """Each kind's methods give the bits of its field expressions, slot for slot."""
     _assert_matches_fields(phi, x)
 
 
-@given(_any_uniform, _any_harmonic, _any_uniform, _any_harmonic, _any_events)
-def test_replaced_fields_reach_the_next_call(uniform, spring, other, other_spring, x):
-    """``dataclasses.replace`` builds anew, so the stored constants never go stale."""
-    for phi in (uniform, spring):
-        _assert_matches_fields(phi, x)
+@given(_any_uniform, _any_uniform, _any_events)
+def test_replaced_slope_reaches_the_next_call(uniform, other, x):
+    """``dataclasses.replace`` builds anew, so the stored slope never goes stale."""
+    _assert_matches_fields(uniform, x)
     _assert_matches_fields(dataclasses.replace(uniform, slope=other.slope), x)
-    _assert_matches_fields(dataclasses.replace(spring, stiffness=other_spring.stiffness), x)
-    _assert_matches_fields(dataclasses.replace(spring, center=other_spring.center), x)
 
 
-def test_builtin_fields_stay_frozen():
-    for phi, name, value in [(UniformPotential(FourCovector(1.0, 2.0, 3.0, 4.0)), "slope",
-                              FourCovector(0.0, 0.0, 0.0, 0.0)),
-                             (HarmonicPotential(1.0), "stiffness", 2.0),
-                             (HarmonicPotential(1.0), "center", Event(1.0, 1.0, 1.0, 1.0))]:
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(phi, name, value)
+def test_uniform_slope_stays_frozen():
+    phi = UniformPotential(FourCovector(1.0, 2.0, 3.0, 4.0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        phi.slope = FourCovector(0.0, 0.0, 0.0, 0.0)
 
 
 @given(events)

@@ -300,9 +300,9 @@ def test_max_event_gap_matches_the_typed_event_fold(first, second):
 
 
 def _boost_fold(first, second) -> float:
-    """``boost``'s discrepancy: ``_block_gap`` over the blocks ``_csv_sections`` writes."""
+    """``boost``'s discrepancy: ``max_event_gap`` over the blocks ``_csv_sections`` writes."""
     handles = io.BytesIO(), io.BytesIO()
-    return verify._worst(starmap(verify._block_gap,
+    return verify._worst(starmap(max_event_gap,
                                  _csv_sections((iter(first), iter(second)), handles)))
 
 
@@ -315,7 +315,7 @@ def _sample_runs(count: int, seed: int) -> tuple[list[Sample], list[Sample]]:
 @pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
 @pytest.mark.parametrize("late", [(), ("inf",), ("nan",), ("inf", "nan"), ("nan", "inf")])
 def test_event_folds_match_the_typed_event_fold(count, late):
-    """``boost``'s block fold and ``max_event_gap`` give the per-sample fold's bits.
+    """``boost``'s fold by blocks and ``max_event_gap`` give the typed fold's bits.
 
     ``late`` puts an infinite or NaN gap into ``boost``'s last block: the
     first named at its last step, the second at its first step.
