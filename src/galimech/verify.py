@@ -1,8 +1,8 @@
 """Property verification suites behind ``galimech verify``.
 
-Each suite is written as one trial; ``run_checks`` draws trial i from
-one generator reseeded with ``seed + i``, the stream of
-``random.Random(seed + i)``, so reports are reproducible, trials are
+Each suite is written as one trial; trial i of every suite draws the
+stream of ``random.Random(seed + i)``, which ``run_checks`` seeds once
+and replays to each suite, so reports are reproducible, trials are
 independent and any trial replays alone.  Numeric suites report their
 worst error against a per-suite tolerance; verdict suites, gated at
 zero, report the sum of their disagreement counts.  A NaN error always
@@ -42,6 +42,7 @@ from .chart import (
     restrict,
 )
 from .potentials import HarmonicPotential, Potential, UniformPotential, ZeroPotential
+from .replay import Replay, stream
 
 __all__ = [
     "Check",
@@ -665,19 +666,7 @@ CHECKS: tuple[Check, ...] = (
 )
 
 
-def _trial_errors(trial: Callable, rng: random.Random, seed: int,
-                  n: int) -> Iterator[float]:
-    """Errors of trials 0..n-1, lazily; ``rng`` is reseeded before each.
-
-    For an int, ``Random.seed`` is the base-class seed plus ``gauss_next =
-    None``; both run here without its Python frame, so trial i sees the
-    stream of a fresh ``random.Random(seed + i)``.
-    """
-    reseed = super(random.Random, rng).seed
-    for i in range(n):
-        reseed(seed + i)
-        rng.gauss_next = None
-        yield trial(rng, i)
+_BLOCK = 8
 
 
 def run_checks(trials: int = 1000, seed: int = 42,
@@ -699,15 +688,18 @@ def run_checks(trials: int = 1000, seed: int = 42,
         if unknown:
             raise ValueError(f"unknown check names: {sorted(unknown)}")
         selected = tuple(check for check in CHECKS if check.name in wanted)
-    rng = random.Random()
-    results = []
-    for check in selected:
-        n = trials if check.max_trials is None else min(trials, check.max_trials)
-        fold = sum if check.tolerance == 0.0 else _worst
-        error = fold(_trial_errors(check.trial, rng, seed, n))
-        gate = check.tolerance if tolerance is None else tolerance
-        results.append(CheckResult(check.name, n, error, gate))
-    return results
+    runs = [(check, trials if check.max_trials is None else min(trials, check.max_trials),
+             sum if check.tolerance == 0.0 else _worst) for check in selected]
+    errors, gen = [0.0] * len(runs), random.Random()
+    # Each trial's stream is seeded once, ``_BLOCK`` trials at a time; folds
+    # carry over blocks, and ``_worst`` returns a carried NaN untouched.
+    for start in range(0, trials, _BLOCK):
+        streams = [stream(gen, seed + i) for i in range(start, min(start + _BLOCK, trials))]
+        for k, (check, n, fold) in enumerate(runs):
+            replays = map(Replay, streams)
+            errors[k] = fold(chain((errors[k],), map(check.trial, replays, range(start, n))))
+    return [CheckResult(check.name, n, error, check.tolerance if tolerance is None
+                        else tolerance) for (check, n, _), error in zip(runs, errors)]
 
 
 def render_report(results: list[CheckResult]) -> list[str]:

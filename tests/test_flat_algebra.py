@@ -268,7 +268,7 @@ def test_slot_comparison_matches_the_typed_difference(pair, tol):
 @given(st.integers(0, 2 ** 80), st.lists(st.integers(0, 3), min_size=1, max_size=6))
 def test_trial_reseed_matches_fresh_generators(seed, kinds):
     # Each trial draws by one of the generator's paths; a gauss draw
-    # leaves its pair's second value cached, which the reseed must clear.
+    # leaves its pair's second value cached, which no later trial may see.
     def trial(rng, i):
         kind = kinds[i % len(kinds)]
         if kind == 0:
@@ -279,7 +279,10 @@ def test_trial_reseed_matches_fresh_generators(seed, kinds):
             return float(rng.randrange(1 << 70))
         return rng.gauss(0.0, 1.0)
 
-    got = list(verify._trial_errors(trial, random.Random(), seed, len(kinds) + 1))
+    got = []
+    check = verify.Check("mix", 1.0, lambda rng, i: got.append(trial(rng, i)) or 0.0)
+    with mock.patch.object(verify, "CHECKS", (check,)):
+        verify.run_checks(trials=len(kinds) + 1, seed=seed)
     assert got == [trial(random.Random(seed + i), i) for i in range(len(kinds) + 1)]
 
 

@@ -5,7 +5,7 @@ import random
 from itertools import starmap
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from galimech import affine_values, homogeneous, verify
 from galimech.chart import (
@@ -20,6 +20,7 @@ from galimech.cli import _BLOCK, _csv_sections
 from galimech.frame_dynamics import (IntegrationDiverged, Sample, generate_from_lagrangian,
                                      integrate)
 from galimech.potentials import HarmonicPotential, UniformPotential, ZeroPotential
+from galimech.replay import WORDS, Replay, stream
 from galimech.verify import (
     CHECKS,
     Check,
@@ -82,6 +83,100 @@ def test_each_trial_replays_from_a_fresh_generator(monkeypatch):
     run_checks(trials=4, seed=11)
     fresh = [random.Random(11 + i) for i in range(4)]
     assert seen == [(rng.gauss(0.0, 1.0), rng.random()) for rng in fresh]
+
+
+# One call on a generator, as (method, args).
+_calls = st.one_of(
+    st.just(("random", ())),
+    st.tuples(st.just("randrange"), st.tuples(st.integers(1, 2 ** 70))),
+    st.tuples(st.just("choice"), st.tuples(st.lists(st.integers(), min_size=1, max_size=5))),
+    st.tuples(st.just("getrandbits"), st.tuples(st.integers(0, 100))),
+    st.just(("gauss", (0.0, 1.0))),
+    st.tuples(st.just("uniform"), st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))),
+)
+
+
+def _drawn_key(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+@example(2 ** 80, [("random", ())] * 40)
+@example(0, [("getrandbits", (2,))] * (WORDS + 2))
+@example(7, [("randrange", (3,))] * 10 + [("gauss", (0.0, 1.0)), ("random", ())])
+@example(9, [("uniform", (0.0, 1.0)), ("getrandbits", (5,)), ("choice", ([1, 2, 3],))])
+@example(11, [("getrandbits", (32,)), ("getrandbits", (0,)), ("getrandbits", (33,))])
+@settings(max_examples=300)
+@given(st.integers(0, 2 ** 80), st.lists(_calls, max_size=60))
+def test_replay_draws_what_a_fresh_generator_draws(seed, calls):
+    # Thirty more random() calls take every mix past the kept stream.
+    replayed, fresh = Replay(stream(random.Random(), seed)), random.Random(seed)
+    replayed_random = replayed.random
+    for name, args in calls + [("random", ())] * 30:
+        want = _drawn_key(getattr(fresh, name)(*args))
+        assert _drawn_key(getattr(replayed, name)(*args)) == want, (name, args)
+    # A method bound before the replay left its stream follows it there.
+    assert replayed_random().hex() == fresh.random().hex()
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_every_suite_folds_what_fresh_generators_draw(seed):
+    # 130 trials cross block boundaries and end inside a block.
+    results = run_checks(trials=130, seed=seed)
+    assert [r.name for r in results] == [check.name for check in CHECKS]
+    for check, result in zip(CHECKS, results):
+        n = 130 if check.max_trials is None else min(130, check.max_trials)
+        fold = sum if check.tolerance == 0.0 else verify._worst
+        want = fold(check.trial(random.Random(seed + i), i) for i in range(n))
+        assert (result.trials, result.max_error.hex()) == (n, want.hex()), check.name
+    names = ["differential-lift-membership", "energy-conservation", "splitting-identity",
+             "shell-transport"]
+    subset = run_checks(trials=130, seed=seed, names=names)
+    assert ([(r.name, r.trials, r.max_error.hex()) for r in subset]
+            == [(r.name, r.trials, r.max_error.hex()) for r in results if r.name in names])
+
+
+def test_folds_carry_across_blocks(monkeypatch):
+    seen = {"numeric": [], "verdict": [], "capped": []}
+
+    def numeric(rng, i):
+        seen["numeric"].append(i)
+        if i == 100:
+            raise AssertionError("a trial ran after its suite's NaN")
+        return math.nan if i == 3 else 0.5
+
+    def verdict(rng, i):
+        seen["verdict"].append(rng.random())
+        return float(i % 3)
+
+    def capped(rng, i):
+        seen["capped"].append(i)
+        return 0.25 * (i == verify._BLOCK + 1)
+
+    cap = verify._BLOCK + 4
+    monkeypatch.setattr(verify, "CHECKS", (
+        Check("numeric", 1.0, numeric), Check("verdict", 0.0, verdict),
+        Check("capped", 1.0, capped, max_trials=cap)))
+    numeric_result, verdict_result, capped_result = run_checks(trials=130, seed=5)
+    assert math.isnan(numeric_result.max_error) and numeric_result.trials == 130
+    assert seen["numeric"] == [0, 1, 2, 3]
+    assert verdict_result.max_error == sum(i % 3 for i in range(130))
+    assert seen["verdict"] == [random.Random(5 + i).random() for i in range(130)]
+    assert (capped_result.trials, capped_result.max_error) == (cap, 0.25)
+    assert seen["capped"] == list(range(cap))
+
+
+def test_a_trial_exception_leaves_run_checks_unchanged(monkeypatch):
+    error = KeyError("trial 40")
+
+    def trial(rng, i):
+        if i == 40:
+            raise error
+        return 0.0
+
+    monkeypatch.setattr(verify, "CHECKS", (Check("raises", 1.0, trial),))
+    with pytest.raises(KeyError) as info:
+        run_checks(trials=130, seed=3)
+    assert info.value is error
 
 
 def _uniform_draws(rng, *ranges):
