@@ -75,13 +75,6 @@ def _shift_slots(u1: Frame, u2: Frame) -> tuple[float, float, float, float]:
     return -(qx * mx + qy * my + qz * mz), qx, qy, qz
 
 
-def _shifted(p: FourCovector, mass: float, u1: Frame, u2: Frame) -> FourCovector:
-    """p + mass * frame_shift(u1, u2), built as the one covector it is."""
-    st, sx, sy, sz = _shift_slots(u1, u2)
-    return FourCovector(p.pt + mass * st, p.px + mass * sx,
-                        p.py + mass * sy, p.pz + mass * sz)
-
-
 def _require_same_mass(a: float, b: float):
     if a != b:
         raise ValueError(f"mass mismatch: {a!r} vs {b!r}")
@@ -183,13 +176,15 @@ class AffineMomentum:
 
 def affine_momentum(mass: float, frame: Frame, p: FourCovector) -> AffineMomentum:
     """Class of the momentum ``p`` as reported by ``frame``."""
-    return AffineMomentum(mass, _shifted(p, mass, frame, REST_FRAME))
+    return AffineMomentum(mass, momentum_transport(mass, frame, REST_FRAME, p))
 
 
 def momentum_transport(mass: float, u_from: Frame, u_to: Frame,
                        p: FourCovector) -> FourCovector:
     """Re-express a momentum report in another frame, same class."""
-    return _shifted(p, mass, u_from, u_to)
+    st, sx, sy, sz = _shift_slots(u_from, u_to)
+    return FourCovector(p.pt + mass * st, p.px + mass * sx,
+                        p.py + mass * sy, p.pz + mass * sz)
 
 
 def shell_function(momentum: AffineMomentum) -> float:

@@ -17,7 +17,7 @@ frame bookkeeping honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 __all__ = [
     "FourVector",
@@ -49,21 +49,23 @@ def _frozen(cls, methods=lambda slots: ""):
     """``dataclass(frozen=True, slots=True)`` with a compiled ``__init__``.
 
     The dataclass ``__init__`` of a frozen class looks up
-    ``object.__setattr__`` for every field; this one calls each slot's
-    setter, bound once, at about half the cost, with the same signature,
-    defaults and ``__post_init__`` call.  ``methods(slots)`` adds class-body
-    source; ``slots(template)`` joins the template filled in per field.
+    ``object.__setattr__`` for every field, so none is generated; this one
+    calls each slot's setter, bound once, at about half the cost, with the
+    fields' defaults and the ``__post_init__`` call.  ``methods(slots)`` adds
+    class-body source; ``slots(template)`` joins the template filled in per field.
     """
-    cls = dataclass(frozen=True, slots=True)(cls)
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
     names = [f.name for f in fields(cls)]
     def slots(template: str) -> str:
         return ", ".join(template.format(name) for name in names)
     namespace = {"__name__": cls.__module__, "cls": cls,
+                 "_defaults": tuple(f.default for f in fields(cls)
+                                    if f.default is not MISSING),
                  **{f"_set_{name}": getattr(cls, name).__set__ for name in names}}
     init = (f" def __init__(self, {slots('{0}')}):\n"
             + "".join(f"  _set_{name}(self, {name})\n" for name in names)
             + ("  self.__post_init__()\n" if hasattr(cls, "__post_init__") else "")
-            + " __init__.__defaults__ = cls.__init__.__defaults__\n")
+            + " __init__.__defaults__ = _defaults\n")
     # A class statement, so that each method gets its qualified name.
     exec(f"class {cls.__name__}:\n{init}{methods(slots)}", namespace)
     for name, method in vars(namespace[cls.__name__]).items():

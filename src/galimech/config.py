@@ -11,16 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chart import (
-    ORIGIN,
-    REST_FRAME,
-    Event,
-    FourCovector,
-    Frame,
-    SpatialCovector,
-    SpatialVector,
-    metric,
-)
+from .chart import (REST_FRAME, Event, FourCovector, Frame, SpatialCovector, SpatialVector,
+                    metric)
 from .potentials import HarmonicPotential, Potential, UniformPotential, ZeroPotential
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
@@ -28,21 +20,6 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
-
-
-# Each potential kind: the dotted keys it takes besides potential.kind,
-# and the one of them it requires.
-_POTENTIAL_KEYS = {
-    "zero": (frozenset(), None),
-    "uniform": (frozenset({"potential.k"}), "potential.k"),
-    "harmonic": (frozenset({"potential.kappa", "potential.center"}), "potential.kappa"),
-}
-
-_KNOWN_KEYS = frozenset({
-    "mass", "potential.kind", "frame", "x0", "v0", "p0", "dt", "steps", "tol",
-}).union(*(allowed for allowed, _ in _POTENTIAL_KEYS.values()))
-
-_REQUIRED_KEYS = ("mass", "potential.kind", "x0", "dt", "steps")
 
 
 @dataclass(frozen=True)
@@ -57,16 +34,6 @@ class RunConfig:
     tol: float
     # Kept alongside the derived p0: some commands report in velocity terms.
     v0: SpatialVector | None = None
-
-
-def _split_line(lineno: int, line: str) -> tuple[str, str] | None:
-    bare = line.split("#", 1)[0].strip()
-    if not bare:
-        return None
-    if "=" not in bare:
-        raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
-    key, value = bare.split("=", 1)
-    return key.strip(), value.strip()
 
 
 def _floats(key: str, raw: str, n: int) -> tuple[float, ...]:
@@ -93,48 +60,57 @@ def _positive(key: str, raw: str) -> float:
     return value
 
 
-def _int(key: str, raw: str) -> int:
+def _steps(key: str, raw: str) -> int:
     try:
-        return int(raw)
+        steps = int(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from None
+    if steps < 1:
+        raise ConfigError(f"{key}: must be at least 1, got {steps}")
+    return steps
 
 
-def _build_potential(entries: dict[str, str]) -> Potential:
-    kind = entries["potential.kind"]
-    if kind not in _POTENTIAL_KEYS:
-        raise ConfigError(f"potential.kind: unknown kind {kind!r}")
-    allowed, required = _POTENTIAL_KEYS[kind]
-    extra = {key for key in entries
-             if key.startswith("potential.") and key != "potential.kind"} - allowed
-    if extra:
-        raise ConfigError(f"{sorted(extra)[0]}: not valid for potential.kind={kind}")
-    if required is not None and required not in entries:
-        raise ConfigError(f"{required}: required for potential.kind={kind}")
+# Every key but potential.kind, with its parser, in the order values are checked.
+_KEYS = {
+    "mass": _positive,
+    "dt": _positive,
+    "steps": _steps,
+    "tol": _positive,
+    "frame": lambda key, raw: Frame(1.0, *_floats(key, raw, 3)),
+    "x0": lambda key, raw: Event(*_floats(key, raw, 4)),
+    "p0": lambda key, raw: SpatialCovector(*_floats(key, raw, 3)),
+    "v0": lambda key, raw: SpatialVector(*_floats(key, raw, 3)),
+    "potential.k": lambda key, raw: FourCovector(*_floats(key, raw, 4)),
+    "potential.kappa": _positive,
+    "potential.center": lambda key, raw: Event(*_floats(key, raw, 4)),
+}
 
-    if kind == "zero":
-        return ZeroPotential()
-    if kind == "uniform":
-        return UniformPotential(FourCovector(*_floats("potential.k",
-                                                      entries["potential.k"], 4)))
-    kappa = _positive("potential.kappa", entries["potential.kappa"])
-    center = Event(*_floats("potential.center", entries["potential.center"], 4)) \
-        if "potential.center" in entries else ORIGIN
-    return HarmonicPotential(kappa, center)
+# Each potential kind: its class and the keys it takes as constructor
+# arguments, the required one first.
+_KINDS = {
+    "zero": (ZeroPotential, ()),
+    "uniform": (UniformPotential, ("potential.k",)),
+    "harmonic": (HarmonicPotential, ("potential.kappa", "potential.center")),
+}
+
+_REQUIRED_KEYS = ("mass", "potential.kind", "x0", "dt", "steps")
 
 
 def parse_config(text: str) -> RunConfig:
     entries: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        split = _split_line(lineno, line)
-        if split is None:
+        bare = line.split("#", 1)[0].strip()
+        if not bare:
             continue
-        key, value = split
-        if key not in _KNOWN_KEYS:
+        key, equals, raw = bare.partition("=")
+        key = key.strip()
+        if not equals:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
+        if key not in _KEYS and key != "potential.kind":
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        entries[key] = value
+        entries[key] = raw.strip()
 
     for key in _REQUIRED_KEYS:
         if key not in entries:
@@ -142,26 +118,25 @@ def parse_config(text: str) -> RunConfig:
     if ("v0" in entries) == ("p0" in entries):
         raise ConfigError("exactly one of v0 or p0 is required")
 
-    mass = _positive("mass", entries["mass"])
-    dt = _positive("dt", entries["dt"])
-    steps = _int("steps", entries["steps"])
-    if steps < 1:
-        raise ConfigError(f"steps: must be at least 1, got {steps}")
-    tol = _positive("tol", entries["tol"]) if "tol" in entries else 1e-6
+    values = {key: parse(key, entries[key]) for key, parse in _KEYS.items()
+              if key in entries and not key.startswith("potential.")}
 
-    frame = Frame.from_boost(SpatialVector(*_floats("frame", entries["frame"], 3))) \
-        if "frame" in entries else REST_FRAME
-    x0 = Event(*_floats("x0", entries["x0"], 4))
+    kind = entries["potential.kind"]
+    if kind not in _KINDS:
+        raise ConfigError(f"potential.kind: unknown kind {kind!r}")
+    cls, takes = _KINDS[kind]
+    for key in sorted(entries):
+        if key.startswith("potential.") and key != "potential.kind" and key not in takes:
+            raise ConfigError(f"{key}: not valid for potential.kind={kind}")
+    if takes and takes[0] not in entries:
+        raise ConfigError(f"{takes[0]}: required for potential.kind={kind}")
+    potential = cls(*(_KEYS[key](key, entries[key]) for key in takes if key in entries))
 
-    if "p0" in entries:
-        v0 = None
-        p0 = SpatialCovector(*_floats("p0", entries["p0"], 3))
-    else:
-        v0 = SpatialVector(*_floats("v0", entries["v0"], 3))
-        p0 = metric(v0) * mass
-
-    return RunConfig(mass=mass, potential=_build_potential(entries), frame=frame,
-                     x0=x0, p0=p0, dt=dt, steps=steps, tol=tol, v0=v0)
+    mass, v0 = values["mass"], values.get("v0")
+    return RunConfig(mass=mass, potential=potential, frame=values.get("frame", REST_FRAME),
+                     x0=values["x0"], p0=values["p0"] if v0 is None else metric(v0) * mass,
+                     dt=values["dt"], steps=values["steps"],
+                     tol=values.get("tol", 1e-6), v0=v0)
 
 
 def load_config(path: str) -> RunConfig:

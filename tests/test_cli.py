@@ -152,6 +152,73 @@ def test_config_errors_are_one_exact_line(tmp_path, capsys, mangle, message):
     assert not out.exists()
 
 
+def _set(**values):
+    """Replace or append each ``key = value``, or drop the key for ``None``.
+
+    An underscore in a name stands for the dot: ``potential_kind``.
+    """
+    def mangle(text):
+        lines = text.splitlines()
+        for name, value in values.items():
+            key = name.replace("_", ".")
+            at = next((i for i, line in enumerate(lines) if line.startswith(f"{key} = ")),
+                      len(lines))
+            lines[at:at + 1] = [] if value is None else [f"{key} = {value}"]
+        return "\n".join(lines) + "\n"
+    return mangle
+
+
+# Each config carries two faults; only the one that comes first in this
+# order is reported: line errors in line order, missing required keys, the
+# v0/p0 rule, values in key order, the potential kind, a key the kind does
+# not take, the kind's required key, then the potential's own values.
+@pytest.mark.parametrize("mangle, message", [
+    (lambda text: text + "garbage\nseed = 3\n",
+     "line 8: expected 'key = value', got 'garbage'"),
+    (lambda text: text + "seed = 3\ndt = 0.5\n", "line 8: unknown key 'seed'"),
+    (lambda text: text + "dt = 0.5\ngarbage\n", "line 8: duplicate key 'dt'"),
+    (_set(mass=None, seed="3"), "line 7: unknown key 'seed'"),
+    (lambda text: _set(x0=None)(text) + "dt = 0.5\n", "line 7: duplicate key 'dt'"),
+    (_set(mass=None, potential_kind=None), "mass: required key is missing"),
+    (_set(potential_kind=None, x0=None), "potential.kind: required key is missing"),
+    (_set(x0=None, dt=None), "x0: required key is missing"),
+    (_set(dt=None, steps=None), "dt: required key is missing"),
+    (_set(steps=None, p0="1, 0, 0"), "steps: required key is missing"),
+    (_set(p0="1, 0, 0", mass="0"), "exactly one of v0 or p0 is required"),
+    (_set(v0=None, mass="0"), "exactly one of v0 or p0 is required"),
+    (_set(mass="0", dt="0"), "mass: must be positive, got 0.0"),
+    (_set(dt="0", steps="0"), "dt: must be positive, got 0.0"),
+    (_set(steps="0", tol="0"), "steps: must be at least 1, got 0"),
+    (_set(tol="0", frame="nan, 0, 0"), "tol: must be positive, got 0.0"),
+    (_set(frame="1, 2", x0="0, 1, 0"), "frame: expected 3 numbers, got 2"),
+    (_set(x0="0, 1, 0", v0="nan, 0, 0"), "x0: expected 4 numbers, got 3"),
+    (_set(v0=None, x0="0, 1, 0", p0="a, 0, 0"), "x0: expected 4 numbers, got 3"),
+    (_set(v0="1, 2", potential_kind="cubic"), "v0: expected 3 numbers, got 2"),
+    (_set(v0=None, p0="a, 0, 0", potential_kind="cubic"),
+     "p0: could not convert string to float: 'a'"),
+    (_set(potential_kind="cubic", potential_kappa="1"), "potential.kind: unknown kind 'cubic'"),
+    (_set(potential_kind="uniform", potential_kappa="1"),
+     "potential.kappa: not valid for potential.kind=uniform"),
+    (_set(potential_kappa="1", potential_center="0, 0, 0, 0"),
+     "potential.center: not valid for potential.kind=zero"),
+    (_set(potential_kind="harmonic", potential_center="nan, 0, 0, 0"),
+     "potential.kappa: required for potential.kind=harmonic"),
+    (_set(potential_kind="harmonic", potential_kappa="0", potential_center="1, 2"),
+     "potential.kappa: must be positive, got 0.0"),
+], ids=["no-equals-before-unknown", "unknown-before-duplicate", "duplicate-before-no-equals",
+        "unknown-before-missing", "duplicate-before-missing", "mass-before-kind",
+        "kind-before-x0", "x0-before-dt", "dt-before-steps", "missing-before-v0-p0",
+        "both-v0-p0-before-values", "neither-v0-p0-before-values", "mass-before-dt",
+        "dt-before-steps-value", "steps-before-tol", "tol-before-frame", "frame-before-x0",
+        "x0-before-v0", "x0-before-p0", "v0-before-kind", "p0-before-kind",
+        "kind-before-foreign-key", "foreign-before-required", "foreign-keys-sorted",
+        "required-before-values", "kappa-before-center"])
+def test_config_error_precedence(tmp_path, capsys, mangle, message):
+    assert main(["simulate", "--config", write(tmp_path, mangle(FREE)),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_non_finite_value_names_its_key(tmp_path, capsys):
     cfg = write(tmp_path, FREE.replace("v0 = 0.5, 0, 0", "v0 = 0.5, 0, nan"))
     assert main(["simulate", "--config", cfg,
