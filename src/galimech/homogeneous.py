@@ -109,14 +109,20 @@ def _shell_energy(u: Frame, mass: float, phi: float, px: float, py: float,
     denominator b·b·f of p = a/b and u = e/f, which leaves five terms.
     Denominators are powers of two: a term's exponent plus 3 is a sum of bit
     lengths, d the largest, so D = 2^(d - 3) and left shifts align numerators.
-    Slots convert in argument order (p, mass, u, phi, pt, u.dt), so the
-    first non-finite one names the error.
+    Slots convert in argument order (p, mass, u, phi, pt, u.dt), and the
+    first non-finite one names the error, whose type its conversion sets.
     """
-    (ax, bx), (ay, by) = px.as_integer_ratio(), py.as_integer_ratio()
-    (az, bz), (mn, md) = pz.as_integer_ratio(), mass.as_integer_ratio()
-    (ex, fx), (ey, fy) = u.dx.as_integer_ratio(), u.dy.as_integer_ratio()
-    (ez, fz), (h, hd) = u.dz.as_integer_ratio(), phi.as_integer_ratio()
-    (c, cd), (e, ed) = pt.as_integer_ratio(), u.dt.as_integer_ratio()
+    try:
+        (ax, bx), (ay, by) = px.as_integer_ratio(), py.as_integer_ratio()
+        (az, bz), (mn, md) = pz.as_integer_ratio(), mass.as_integer_ratio()
+        (ex, fx), (ey, fy) = u.dx.as_integer_ratio(), u.dy.as_integer_ratio()
+        (ez, fz), (h, hd) = u.dz.as_integer_ratio(), phi.as_integer_ratio()
+        (c, cd), (e, ed) = pt.as_integer_ratio(), u.dt.as_integer_ratio()
+    except (ValueError, OverflowError) as exc:
+        slots = zip(("px", "py", "pz", "mass", "u.dx", "u.dy", "u.dz", "phi", "pt", "u.dt"),
+                    (px, py, pz, mass, u.dx, u.dy, u.dz, phi, pt, u.dt))
+        name, value = next(slot for slot in slots if not math.isfinite(slot[1]))
+        raise type(exc)(f"shell energy: {name} is {value!r}") from exc
     m2, kh, ke = 2 * mn, hd.bit_length() + 2, cd.bit_length() + ed.bit_length() + 1
     kx, ky = 2 * bx.bit_length() + fx.bit_length(), 2 * by.bit_length() + fy.bit_length()
     kz = 2 * bz.bit_length() + fz.bit_length()

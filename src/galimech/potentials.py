@@ -6,12 +6,12 @@ Each kind carries its exact differential so the dynamics never has to
 fall back on finite differences.
 
 A kind is defined once, on chart coordinates: ``value_at(t, x, y, z)`` and
-``differential_at(t, x, y, z) -> (dt, dx, dy, dz)``.  The integrator's hot
-loop calls only these; the uniform kind evaluates them from its slope's
-float slots, stored when built.  ``Potential`` derives the typed ``value``
-and ``differential`` from them; a subclass redefining either is a
-``TypeError``, so a force can never split from its value.  An observer's
-force is ``restrict(differential(x))`` (up to sign).
+``differential_at(t, x, y, z) -> (dt, dx, dy, dz)``.  ``Potential`` derives
+the typed ``value`` and ``differential`` from them; a subclass redefining
+either is a ``TypeError``, so a force can never split from its value.  An
+observer's force is ``restrict(differential(x))`` (up to sign).  A built-in
+kind writes its two methods once, as templates that ``_kind`` compiles and
+``frame_dynamics`` inlines into its RK4 kernel.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from dataclasses import dataclass
 from .chart import ORIGIN, Event, FourCovector
 
 __all__ = ["Potential", "ZeroPotential", "UniformPotential", "HarmonicPotential"]
+
+# ``(value_at, differential_at)`` of each built-in kind -> its templates.
+TEMPLATES: dict = {}
 
 
 class Potential:
@@ -51,17 +54,34 @@ class Potential:
         return FourCovector(*self.differential_at(x.t, x.x, x.y, x.z))
 
 
+def _kind(constants: str, shared: str, value: str, *differential: str):
+    """Class decorator: ``value_at`` and ``differential_at`` from templates.
+
+    Source in ``{t}``, ``{x}``, ``{y}``, ``{z}``: ``constants`` reads the stored
+    floats off ``self``, ``shared`` what the value and differential both read.
+    """
+    def decorate(cls):
+        head = "".join(f"  {line}\n" for line in (constants, shared) if line)
+        source = (f"class {cls.__name__}:\n def value_at(self, t, x, y, z):\n{head}"
+                  f"  return {value}\n def differential_at(self, t, x, y, z):\n{head}"
+                  f"  return {', '.join(differential)}\n")
+        exec(source.format(t="t", x="x", y="y", z="z"), globals(), namespace := {})
+        methods = vars(namespace[cls.__name__])
+        cls.value_at, cls.differential_at = methods["value_at"], methods["differential_at"]
+        TEMPLATES[cls.value_at, cls.differential_at] = constants, shared, value, differential
+        return cls
+    return decorate
+
+
+@_kind("", "", "0.0", "0.0", "0.0", "0.0", "0.0")
 @dataclass(frozen=True)
 class ZeroPotential(Potential):
     """Free particle."""
 
-    def value_at(self, t, x, y, z):
-        return 0.0
 
-    def differential_at(self, t, x, y, z):
-        return 0.0, 0.0, 0.0, 0.0
-
-
+# The pairing with the displacement from ORIGIN, whose coordinates are all zero.
+@_kind("kt, kx, ky, kz = self._constants", "",
+       "kt * {t} + kx * {x} + ky * {y} + kz * {z}", "kt", "kx", "ky", "kz")
 @dataclass(frozen=True)
 class UniformPotential(Potential):
     """Affine potential with constant slope covector.
@@ -75,24 +95,19 @@ class UniformPotential(Potential):
     def __post_init__(self):
         object.__setattr__(self, "_constants", self.slope.components())
 
-    def value_at(self, t, x, y, z):
-        # The pairing with the displacement from ORIGIN, whose
-        # coordinates are all zero.
-        pt, px, py, pz = self._constants
-        return pt * t + px * x + py * y + pz * z
 
-    def differential_at(self, t, x, y, z):
-        return self._constants
-
-
+@_kind("k, ct, cx, cy, cz = self._constants",
+       "drift = ({t} - ct) * 0.0; "
+       "sx, sy, sz = {x} - cx - drift, {y} - cy - drift, {z} - cz - drift",
+       "0.5 * k * (sx * sx + sy * sy + sz * sz)", "0.0", "k * sx", "k * sy", "k * sz")
 @dataclass(frozen=True)
 class HarmonicPotential(Potential):
     """Isotropic spring about a center event, static in the rest chart.
 
     The displacement is measured on the rest-chart simultaneity slice,
-    so the differential never picks up a time component.  Its boost term
-    ``(t - c.t) * 0.0`` stays: it decides signed zeros and carries a
-    non-finite time slot.
+    so the differential never picks up a time component.  The offset's
+    boost term ``(t - c.t) * 0.0`` stays: it decides signed zeros and
+    carries a non-finite time slot.
     """
 
     stiffness: float
@@ -102,16 +117,5 @@ class HarmonicPotential(Potential):
         if not (math.isfinite(self.stiffness) and self.stiffness > 0):
             raise ValueError(
                 f"stiffness must be finite and positive, got {self.stiffness!r}")
-
-    # Offset inlined twice, saving a call per RK4 stage; a reference test pins both.
-    def value_at(self, t, x, y, z):
-        c = self.center
-        drift = (t - c.t) * 0.0
-        sx, sy, sz = x - c.x - drift, y - c.y - drift, z - c.z - drift
-        return 0.5 * self.stiffness * (sx * sx + sy * sy + sz * sz)
-
-    def differential_at(self, t, x, y, z):
-        c = self.center
-        drift = (t - c.t) * 0.0
-        k = self.stiffness
-        return 0.0, k * (x - c.x - drift), k * (y - c.y - drift), k * (z - c.z - drift)
+        object.__setattr__(self, "_constants",
+                           (self.stiffness, *self.center.components()))

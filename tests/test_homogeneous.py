@@ -314,11 +314,15 @@ def _fraction_shell(u, mass, phi, px, py, pz, pt=0.0):
 
 
 def _outcome(call):
-    """The bits of the float ``call`` returns, or its error's type and message."""
+    """The bits of the float ``call`` returns, or its error's type and message.
+
+    A non-finite slot's error is re-raised naming the slot; the message
+    compared is then that of the conversion it was raised from.
+    """
     try:
         return call().hex()
     except (ArithmeticError, ValueError) as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc.__cause__ or exc)
 
 
 def _against_fraction(call):
@@ -422,6 +426,50 @@ def test_shell_errors_match_fraction_oracle(call):
     got, want = _against_fraction(call)
     assert isinstance(want, tuple)
     assert got == want
+
+
+# Each slot the shell sum reads, made non-finite through the public calls.
+# ``mass`` and ``u.dt`` never get that far: the mass guard and the frame's
+# time check stop them first.
+SHELL_P = FourCovector(0.5, 1.0, -1.0, 0.25)
+_RESIDUAL_SLOTS = {
+    "px": lambda bad: _residual(U, 2.0, 0.5, FourCovector(0.0, bad, 0.0, 0.0)),
+    "py": lambda bad: _residual(U, 2.0, 0.5, FourCovector(0.0, 0.0, bad, 0.0)),
+    "pz": lambda bad: _residual(U, 2.0, 0.5, FourCovector(0.0, 0.0, 0.0, bad)),
+    "u.dx": lambda bad: _residual(Frame(1.0, bad, 0.0, 0.0), 2.0, 0.5, SHELL_P),
+    "u.dy": lambda bad: _residual(Frame(1.0, 0.0, bad, 0.0), 2.0, 0.5, SHELL_P),
+    "u.dz": lambda bad: _residual(Frame(1.0, 0.0, 0.0, bad), 2.0, 0.5, SHELL_P),
+    "phi": lambda bad: _residual(U, 2.0, bad, SHELL_P),
+    "pt": lambda bad: _residual(U, 2.0, 0.5, FourCovector(bad, 1.0, -1.0, 0.25)),
+}
+# ``legendre`` reads phi, and px, py, pz from the velocity relative to the
+# frame: a non-finite frame slot reaches them negated.  Its pt is 0.
+_LEGENDRE_SLOTS = {
+    "px": lambda bad: lambda: legendre(Frame(1.0, bad, 0.0, 0.0), 2.0, ZeroPotential(),
+                                       ORIGIN, MOVING),
+    "py": lambda bad: lambda: legendre(Frame(1.0, 0.0, bad, 0.0), 2.0, ZeroPotential(),
+                                       ORIGIN, MOVING),
+    "pz": lambda bad: lambda: legendre(Frame(1.0, 0.0, 0.0, bad), 2.0, ZeroPotential(),
+                                       ORIGIN, MOVING),
+    "phi": lambda bad: lambda: legendre(U, 2.0, *_constant(bad), MOVING),
+}
+_SLOT_CASES = {**{slot: (make, 1.0) for slot, make in _RESIDUAL_SLOTS.items()},
+               **{f"legendre-{slot}": (make, 1.0 if slot == "phi" else -1.0)
+                  for slot, make in _LEGENDRE_SLOTS.items()}}
+
+
+@pytest.mark.parametrize("bad, kind", [(NAN, ValueError), (INF, OverflowError),
+                                       (-INF, OverflowError)], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("case", sorted(_SLOT_CASES))
+def test_non_finite_shell_slot_names_itself(case, bad, kind):
+    """The error names the slot and keeps the type its conversion raised."""
+    make, sign = _SLOT_CASES[case]
+    message = f"shell energy: {case.removeprefix('legendre-')} is {sign * bad!r}"
+    with pytest.raises(kind) as raised:
+        make(bad)()
+    assert type(raised.value) is kind
+    assert str(raised.value) == message
+    assert str(raised.value.__cause__).startswith("cannot convert")
 
 
 def test_shell_arithmetic_builds_no_fraction(monkeypatch):

@@ -3,10 +3,12 @@
 ``_stepped``/``_rk4_step``/``_object_integrate`` are the integrator as it
 reads on the typed values: every stage goes through ``dynamics_field``
 and the chart operators.  ``integrate`` must reproduce it bit for bit,
-for the built-in potentials and for a custom kind with a time slot.
+for the built-in potentials, whose templates the kernel inlines, and for
+custom kinds and subclasses redefining a method, whose methods it calls.
 """
 
 import math
+import sys
 from collections import Counter
 
 import pytest
@@ -99,6 +101,31 @@ class MovingKepler(Potential):
         return -(gx * bx + gy * by + gz * bz), gx, gy, gz
 
 
+# Calls of the methods the subclasses below redefine.
+CALLS = Counter()
+
+
+class ShiftedSpring(HarmonicPotential):
+    """A spring whose redefined differential adds a constant pull along x."""
+
+    def differential_at(self, t, x, y, z):
+        CALLS["ShiftedSpring.differential_at"] += 1
+        dt, dx, dy, dz = super().differential_at(t, x, y, z)
+        return dt, dx + 0.25, dy, dz
+
+
+class RisingSlope(UniformPotential):
+    """A slope whose redefined value adds 0.5 * t * t."""
+
+    def value_at(self, t, x, y, z):
+        CALLS["RisingSlope.value_at"] += 1
+        return super().value_at(t, x, y, z) + 0.5 * t * t
+
+
+class PlainSpring(HarmonicPotential):
+    """Redefines nothing, so it has the built-in spring's methods."""
+
+
 # -- the value-object oracle ----------------------------------------------
 
 def _stepped(x, p, xdot, pdot, h):
@@ -169,6 +196,11 @@ potentials = st.one_of(
          SpatialCovector(-0.0, 0.0, -0.0), 0.5, 1)
 @example(Frame(1.0, 0.5, -0.0, 0.25), 2.0, Ramp(1.0, -1.0, 0.5),
          Event(-0.25, 1.0, 0.0, -0.0), SpatialCovector(-0.0, -0.0, -0.0), 0.5, 2)
+# Subclasses of built-in kinds that redefine a method run the call path.
+@example(Frame(1.0, 0.3, -0.2, 0.1), 1.5, ShiftedSpring(1.3, Event(0.0, 0.5, -0.5, 1.0)),
+         Event(0.0, 1.0, -0.5, 0.25), SpatialCovector(0.2, -0.0, -0.4), 0.25, 8)
+@example(Frame(1.0, -0.4, 0.0, 0.6), 0.8, RisingSlope(FourCovector(0.6, -1.3, 0.4, 0.9)),
+         Event(0.5, -0.3, 1.2, -0.8), SpatialCovector(-0.6, 0.25, 0.1), 0.125, 8)
 def test_kernel_matches_object_rk4_bit_for_bit(u, mass, phi, x0, p0, dt, steps):
     args = (u, mass, phi, x0, p0, dt, steps)
     assert _outcome(integrate, *args) == _outcome(_object_integrate, *args)
@@ -248,6 +280,87 @@ def test_energy_overflow_names_the_oracle_step():
     want = _outcome(_object_integrate, *args)
     assert want == ("diverged", "energy left finite range at step 14")
     assert _outcome(integrate, *args) == want
+
+
+# -- which kernel runs -----------------------------------------------------
+
+_BUILT_IN = (ZeroPotential, UniformPotential, HarmonicPotential)
+_BUILT_IN_CODES = {getattr(kind, name).__code__: f"{kind.__name__}.{name}"
+                   for kind in _BUILT_IN for name in ("value_at", "differential_at")}
+
+
+@pytest.mark.parametrize("phi, redefined", [
+    (ZeroPotential(), None),
+    (UniformPotential(FourCovector(0.3, -0.7, 0.2, 1.1)), None),
+    (HarmonicPotential(1.3, Event(0.0, 0.5, -0.5, 1.0)), None),
+    (PlainSpring(1.3, Event(0.0, 0.5, -0.5, 1.0)), None),
+    (ShiftedSpring(1.3, Event(0.0, 0.5, -0.5, 1.0)), "ShiftedSpring.differential_at"),
+    (RisingSlope(FourCovector(0.3, -0.7, 0.2, 1.1)), "RisingSlope.value_at"),
+], ids=["zero", "uniform", "harmonic", "plain-subclass", "spring-differential",
+        "slope-value"])
+def test_built_in_methods_are_inlined_unless_redefined(phi, redefined):
+    """Built-in methods are written into the kernel; a redefined one is called.
+
+    A subclass redefining either method gets the call path for both: its
+    redefined method, and through it or directly, the built-in ones.
+    """
+    steps = 50
+    args = (Frame(1.0, 0.3, -0.2, 0.1), 1.5, phi, Event(0.0, 1.0, -0.5, 0.25),
+            SpatialCovector(0.2, 0.0, -0.4), 1e-2, steps)
+    kind = next(cls for cls in _BUILT_IN if isinstance(phi, cls)).__name__
+    seen = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in _BUILT_IN_CODES:
+            seen[_BUILT_IN_CODES[frame.f_code]] += 1
+
+    CALLS.clear()
+    sys.setprofile(profile)
+    try:
+        got = _outcome(integrate, *args)
+    finally:
+        sys.setprofile(None)
+    if redefined is None:
+        assert seen == Counter() and CALLS == Counter()
+    else:
+        calls = {"value_at": steps + 1, "differential_at": 4 * steps}
+        assert seen == Counter({f"{kind}.{name}": n for name, n in calls.items()})
+        assert CALLS == Counter({redefined: calls[redefined.split(".")[1]]})
+    assert got == _outcome(_object_integrate, *args)
+
+
+def _lines_per_step(phi):
+    """Line events per step in the kernel's own frame, from runs of 4 and 2 steps."""
+    def count(steps):
+        lines = 0
+
+        def trace(frame, event, arg):
+            nonlocal lines
+            if frame.f_code.co_name != "rk4":
+                return None
+            lines += event == "line"
+            return trace
+
+        sys.settrace(trace)
+        try:
+            list(integrate(REST_FRAME, 1.0, phi, ORIGIN, SpatialCovector(0.1, 0.2, 0.3),
+                           1e-2, steps))
+        finally:
+            sys.settrace(None)
+        return lines
+    return (count(4) - count(2)) / 2
+
+
+def test_constant_forces_are_taken_before_the_loop():
+    """Zero and uniform forces are constant: no stage takes a gradient in the loop.
+
+    Each step of their kernels runs at least the four stage-force lines
+    fewer than a step of the spring's kernel, which takes the gradient at
+    every stage.
+    """
+    spring = _lines_per_step(HarmonicPotential(1.3, Event(0.0, 0.5, -0.5, 1.0)))
+    for phi in (ZeroPotential(), UniformPotential(FourCovector(0.3, -0.7, 0.2, 1.1))):
+        assert _lines_per_step(phi) <= spring - 4
 
 
 # -- closed-form oracles --------------------------------------------------

@@ -3,7 +3,7 @@
 ``pyproject.toml`` admits Python 3.10 and later.  Each other CPython of
 at least 3.10 found here (``python3.N`` on ``PATH``, and every pyenv
 version) runs ``galimech verify --trials 50`` at the pinned seeds and
-the four golden runs, all in one child process.  Its reports must equal
+the five golden runs, all in one child process.  Its reports must equal
 the running interpreter's byte for byte, and its golden outputs must
 match ``tests/data/golden/SHA256SUMS``.  Candidates that do not start,
 such as a pyenv shim for a version that is not selected, are skipped;

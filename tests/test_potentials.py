@@ -97,7 +97,7 @@ def test_harmonic_drift_decides_the_signed_zero(t, sign):
 
 
 def _offset(phi, t, x, y, z):
-    """The rest-frame offset as one helper, which both methods inline: the reference."""
+    """The rest-frame offset as one helper: the reference for the spring's template."""
     c = phi.center
     drift = (t - c.t) * 0.0
     return x - c.x - drift, y - c.y - drift, z - c.z - drift
@@ -113,7 +113,7 @@ _reference_events = st.builds(Event, _times, _signed, _signed, _signed)
 @settings(max_examples=300)
 @given(st.floats(0.2, 5), _reference_events, _reference_events)
 def test_harmonic_methods_match_the_offset_reference(stiffness, center, x):
-    """Both inlined copies of the offset give the reference's bits, slot for slot."""
+    """Both methods, compiled from one offset template, give the reference's bits."""
     phi = HarmonicPotential(stiffness, center)
     sx, sy, sz = _offset(phi, *x.components())
     value = 0.5 * stiffness * (sx * sx + sy * sy + sz * sz)

@@ -21,6 +21,8 @@ RUNS = {
     "harmonic.csv": ["simulate", "--config", str(GOLDEN / "harmonic.cfg")],
     "uniform-boost.txt": ["boost", "--config", str(GOLDEN / "uniform.cfg"),
                           "--boost", "0.4,-0.25,0.6"],
+    "harmonic-boost.txt": ["boost", "--config", str(GOLDEN / "harmonic.cfg"),
+                           "--boost", "0.4,-0.25,0.6"],
 }
 
 

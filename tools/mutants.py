@@ -12,7 +12,11 @@ Each mutant makes one change to one module:
   ``pass`` itself excepted);
 - ``+`` and ``-`` swap, as do ``*`` and ``/``, ``<`` and ``<=``, and
   ``>`` and ``>=`` (augmented assignments included);
-- a unary minus is dropped.
+- a unary minus is dropped;
+- in a string that is not a docstring, such as a source template that a
+  module compiles, a `` + `` and a `` - `` swap, as do a `` * `` and a
+  `` / ``, and a ``-`` before a name or a parenthesis is dropped; text
+  after a ``#`` on a line of the string is a comment and left alone.
 
 A mutant is killed by ``verify`` when a 50-trial ``run_checks`` at seed
 42 fails to run or differs from the unmutated tree's in any suite's
@@ -35,6 +39,7 @@ from __future__ import annotations
 import ast
 import os
 import queue
+import re
 import resource
 import shutil
 import subprocess
@@ -62,6 +67,9 @@ SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mul
          ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
            ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
+# In strings: a binary operator between spaces, or a unary minus.
+STRING_OPS = re.compile(r" ([-+*/]) |(?<=[\s(,])(-)(?=[\w(])")
+STRING_SWAPS = {"+": "-", "-": "+", "*": "/", "/": "*"}
 
 
 class Mutant(NamedTuple):
@@ -74,6 +82,14 @@ class Mutant(NamedTuple):
 def _is_docstring(node: ast.stmt) -> bool:
     return (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
             and isinstance(node.value.value, str))
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    """Ids of the docstring constants of the module, its classes and functions."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and _is_docstring(node.body[0])}
 
 
 def _body_statements(tree: ast.Module):
@@ -92,11 +108,26 @@ def _sites(tree: ast.Module):
     """Every (node, slot, change) one mutant can make, in a fixed order.
 
     ``slot`` is None for a whole statement, ``"op"`` for a binary,
-    augmented or unary operator, and a comparison's operator index.
+    augmented or unary operator, a comparison's operator index, and
+    ``(start, end, new)`` for a string's characters ``start:end``.
     """
     for node in _body_statements(tree):
         yield node, None, f"{type(node).__name__} -> pass"
+    docstrings = _docstrings(tree)
     for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and id(node) not in docstrings):
+            for match in STRING_OPS.finditer(node.value):
+                if "#" in node.value[node.value.rfind("\n", 0, match.start()) + 1:
+                                     match.start()]:
+                    continue  # a comment in the template
+                if match.group(1):
+                    old = match.group(1)
+                    yield (node, (match.start(1), match.end(1), STRING_SWAPS[old]),
+                           f"'{old}' -> '{STRING_SWAPS[old]}' in a string")
+                else:
+                    yield (node, (match.start(2), match.end(2), ""),
+                           "unary '-' dropped in a string")
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
             old = type(node.op)
             yield node, "op", f"{SYMBOLS[old]} -> {SYMBOLS[SWAPS[old]]}"
@@ -109,8 +140,10 @@ def _sites(tree: ast.Module):
 
 
 def mutants(module: str, source: str) -> list[Mutant]:
-    return [Mutant(module, i, node.lineno, change)
-            for i, (node, _, change) in enumerate(_sites(ast.parse(source)))]
+    """Every mutant of ``module``; one in a string gets the line it changes."""
+    return [Mutant(module, i, node.end_lineno - node.value[slot[0]:].count("\n")
+                   if isinstance(node, ast.Constant) else node.lineno, change)
+            for i, (node, slot, change) in enumerate(_sites(ast.parse(source)))]
 
 
 def mutated_source(source: str, index: int) -> str:
@@ -121,6 +154,9 @@ def mutated_source(source: str, index: int) -> str:
             break
     if slot is None:
         _replace(tree, node, ast.copy_location(ast.Pass(), node))
+    elif isinstance(node, ast.Constant):
+        start, end, new = slot
+        node.value = node.value[:start] + new + node.value[end:]
     elif isinstance(node, ast.Compare):
         node.ops[slot] = SWAPS[type(node.ops[slot])]()
     elif isinstance(node, ast.UnaryOp):
