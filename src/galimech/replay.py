@@ -1,7 +1,10 @@
 """Random streams seeded once and replayed to many readers, for ``verify``.
 
-Kept out of ``verify``, whose compile is the largest transient of a cold
-start: peak memory follows that module's size.
+Each stream carries one memo for all its replays: a ``drawn`` sampler runs
+once per stream position, and a replay that calls it there again gets the
+same value and moves to where that draw ended.  Kept out of ``verify``,
+whose compile is the largest transient of a cold start: peak memory follows
+that module's size.
 """
 
 from __future__ import annotations
@@ -14,24 +17,41 @@ from itertools import repeat
 WORDS = 56
 
 
-def stream(gen: random.Random, seed: int) -> tuple[int, list[int], list[float]]:
-    """``seed``, the first words of ``gen`` seeded with it, and the ``random()`` at each."""
+def stream(gen: random.Random, seed: int) -> tuple[int, list[int], list[float], dict]:
+    """``seed``, the first words of ``gen`` seeded so, the ``random()`` at each, a memo."""
     gen.seed(seed)
     w = list(map(gen.getrandbits, repeat(32, WORDS)))
     return seed, w, [((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0)
-                     for a, b in zip(w, w[1:])]
+                     for a, b in zip(w, w[1:])], {}
+
+
+def drawn(sampler):
+    """``sampler``, kept per position of a ``Replay``'s stream; its values must not change.
+    Only draws that end in the kept words, with no delegated generator, are kept."""
+    def draw(rng):
+        if type(rng) is not Replay:
+            return sampler(rng)
+        memo, key = rng._memo, (sampler, rng._j)
+        hit = memo.get(key)
+        if hit is None:
+            hit = sampler(rng), rng._j
+            if rng._rng is None:
+                memo[key] = hit
+        rng._j = hit[1]
+        return hit[0]
+    return draw
 
 
 class Replay:
     """``random.Random(seed)`` replayed: ``random``, ``getrandbits(k <= 32)``, ``randrange``
     and ``choice`` read its ``stream``; the rest goes to a real generator at that point."""
 
-    __slots__ = ("_seed", "_words", "_doubles", "_j", "_rng")
+    __slots__ = ("_seed", "_words", "_doubles", "_memo", "_j", "_rng")
     randrange, choice, _randbelow = (random.Random.randrange, random.Random.choice,
                                      random.Random._randbelow)
 
-    def __init__(self, kept: tuple[int, list[int], list[float]]) -> None:
-        (self._seed, self._words, self._doubles), self._j, self._rng = kept, 0, None
+    def __init__(self, kept: tuple[int, list[int], list[float], dict]) -> None:
+        (self._seed, self._words, self._doubles, self._memo), self._j, self._rng = kept, 0, None
 
     def random(self) -> float:
         j = self._j

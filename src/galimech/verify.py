@@ -3,17 +3,19 @@
 Each suite is written as one trial; trial i of every suite draws the
 stream of ``random.Random(seed + i)``, which ``run_checks`` seeds once
 and replays to each suite, so reports are reproducible, trials are
-independent and any trial replays alone.  Numeric suites report their
-worst error against a per-suite tolerance; verdict suites, gated at
-zero, report the sum of their disagreement counts.  A NaN error always
-fails its suite.  Trajectory-backed suites cap their case count: a
-thousand integrations would add wall time, not coverage.
+independent and any trial replays alone.  The replays of a stream share
+a memo, so each sampler draws once per stream position.  Numeric suites
+report their worst error against a per-suite tolerance; verdict suites,
+gated at zero, report the sum of their disagreement counts.  A NaN error
+always fails its suite.  Trajectory-backed suites cap their case count:
+a thousand integrations would add wall time, not coverage.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from operator import sub
 from typing import Callable, Iterable, Iterator
@@ -42,7 +44,7 @@ from .chart import (
     restrict,
 )
 from .potentials import HarmonicPotential, Potential, UniformPotential, ZeroPotential
-from .replay import Replay, stream
+from .replay import Replay, drawn, stream
 
 __all__ = [
     "Check",
@@ -61,25 +63,18 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # samplers: each draw is ``a + (b - a) * rng.random()``, what
 # ``rng.uniform(a, b)`` computes, less its Python frame; every ``b - a``
-# here is exact, so it is written as its value.
+# here is exact, so it is written as its value.  Each but ``_momentum_kick``
+# is ``drawn``: suites replaying a trial's stream share what they draw.
 
-def _scalar(rng) -> float:
-    return -2.0 + 4.0 * rng.random()
-
-
-def _mass(rng) -> float:
-    return 0.5 + 2.5 * rng.random()
+def _uniform(a: float, width: float) -> Callable[[random.Random], float]:
+    """A sampler of one float from [a, a + width]."""
+    return drawn(lambda rng: a + width * rng.random())
 
 
-def _time_rate(rng) -> float:
-    return 0.1 + 2.9 * rng.random()
+_scalar, _mass, _time_rate = _uniform(-2.0, 4.0), _uniform(0.5, 2.5), _uniform(0.1, 2.9)
 
 
-def _frame(rng) -> Frame:
-    r = rng.random
-    return Frame(1.0, -2.0 + 4.0 * r(), -2.0 + 4.0 * r(), -2.0 + 4.0 * r())
-
-
+@drawn
 def _four_velocity(rng) -> FourVector:
     """Future-directed four-velocity with time rate in [0.1, 3]."""
     r = rng.random
@@ -93,25 +88,28 @@ def _slots4(cls: type) -> Callable[[random.Random], object]:
         r = rng.random
         return cls(-2.0 + 4.0 * r(), -2.0 + 4.0 * r(), -2.0 + 4.0 * r(),
                    -2.0 + 4.0 * r())
-    return sampler
+    return drawn(sampler)
 
 
-def _slots3(cls: type) -> Callable[[random.Random], object]:
+def _slots3(cls: Callable) -> Callable[[random.Random], object]:
     """A sampler of ``cls``, its three slots each drawn from [-2, 2]."""
     def sampler(rng):
         r = rng.random
         return cls(-2.0 + 4.0 * r(), -2.0 + 4.0 * r(), -2.0 + 4.0 * r())
-    return sampler
+    return drawn(sampler)
 
 
 _event, _four_vector, _four_covector = map(_slots4, (Event, FourVector, FourCovector))
-_spatial_vector, _spatial_covector = map(_slots3, (SpatialVector, SpatialCovector))
+_spatial_vector, _spatial_covector, _frame = map(
+    _slots3, (SpatialVector, SpatialCovector, partial(Frame, 1.0)))
 
 
+@drawn
 def _harmonic(rng) -> HarmonicPotential:
     return HarmonicPotential(0.2 + 1.8 * rng.random(), _event(rng))
 
 
+@drawn
 def _potential(rng) -> Potential:
     kind = rng.randrange(3)
     if kind == 0:

@@ -486,3 +486,15 @@ def test_run_checks_builds_one_generator(monkeypatch):
     results = verify.run_checks(trials=5, seed=3)
     assert all(result.passed for result in results)
     assert len(made) == 1
+
+
+# Measured at trials=16, seed 42: 189 uncached shell sums of 469 calls and
+# 219 frames.  Without the shell cache every call is a sum; without the
+# sampler memo each suite builds its own frames, 734 of them.
+@pytest.mark.parametrize("work, budget", [("shell sums", 189), ("frames", 219)])
+def test_run_checks_does_shared_work_once(monkeypatch, work, budget):
+    homogeneous._shell_sum.cache_clear()
+    built = _built(monkeypatch, lambda: verify.run_checks(trials=16, seed=42))
+    done = {"shell sums": homogeneous._shell_sum.cache_info().misses,
+            "frames": built.count("Frame")}
+    assert done[work] <= budget

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from galimech import homogeneous
-from galimech.affine_values import AffineMomentum, LagrangianValue
+from galimech.affine_values import AffineMomentum, LagrangianValue, is_universal_member
 from galimech.chart import (
     Event,
     Frame,
@@ -253,6 +253,21 @@ def test_nan_time_rate_is_guarded(call, message):
         call()
 
 
+@pytest.mark.parametrize("v, message", [
+    (FourVector(1.0, math.inf, 0.0, 0.0), "four-velocity dx is inf"),
+    (FourVector(2.0, 0.0, math.nan, -math.inf), "four-velocity dy is nan"),
+    (FourVector(math.inf, 0.0, 0.0, -math.inf), "four-velocity dz is -inf"),
+], ids=["inf-dx", "nan-dy", "inf-dt-inf-dz"])
+def test_a_non_finite_spatial_slot_is_named_not_the_time_rate(v, message):
+    # A forward time slot with a non-finite spatial slot pairs to NaN with dt.
+    for call in (homogeneous_lagrangian, lagrangian_differential, legendre):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(REST_FRAME, 2.0, ZeroPotential(), ORIGIN, v)
+    zero = FourCovector(0.0, 0.0, 0.0, 0.0)
+    assert not is_dynamics_member(REST_FRAME, 2.0, ZeroPotential(), ORIGIN, zero, v, zero)
+    assert not is_universal_member(ZeroPotential(), ORIGIN, AffineMomentum(2.0, zero), v, zero)
+
+
 def test_mass_is_validated():
     v = FourVector(1.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
@@ -470,6 +485,52 @@ def test_non_finite_shell_slot_names_itself(case, bad, kind):
     assert type(raised.value) is kind
     assert str(raised.value) == message
     assert str(raised.value.__cause__).startswith("cannot convert")
+
+
+# -- the shell cache --------------------------------------------------------
+
+def _body_slots(u, mass, phi, px, py, pz, pt=0.0):
+    """``_shell_energy``'s arguments as the cached sum reads them."""
+    return px, py, pz, mass, u.dx, u.dy, u.dz, phi, pt, u.dt
+
+
+# Pairs of calls whose keys are equal but not identical: signed zeros, and
+# an int mass beside its float.
+@pytest.mark.parametrize("first, second", [
+    ((Frame(1.0, 0.0, 0.5, -0.0), 2, 0.25, 0.0, -1.5, 0.0, -0.0),
+     (Frame(1.0, -0.0, 0.5, 0.0), 2.0, 0.25, -0.0, -1.5, -0.0, 0.0)),
+    ((REST_FRAME, 2.0, -0.0, 0.0, -0.0, 0.0), (Frame(1.0, -0.0, -0.0, -0.0), 2, 0.0, -0.0,
+                                              0.0, -0.0, -0.0)),
+    ((U, 2, 1 / 3, 0.1, -0.7, 1e-300, -2.5), (U, 2.0, 1 / 3, 0.1, -0.7, 1e-300, -2.5)),
+], ids=["signed-zero-slots", "all-zero", "int-mass"])
+def test_a_shell_cache_hit_is_the_uncached_sum(first, second):
+    homogeneous._shell_sum.cache_clear()
+    missed = homogeneous._shell_energy(*first)
+    hit = homogeneous._shell_energy(*second)
+    assert homogeneous._shell_sum.cache_info()[:2] == (1, 1)
+    uncached = homogeneous._shell_sum.__wrapped__(*_body_slots(*second))
+    assert hit.hex() == missed.hex() == uncached.hex() == _fraction_shell(*second).hex()
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+def test_a_repeated_non_finite_shell_slot_raises_again(bad):
+    homogeneous._shell_sum.cache_clear()
+    call = _residual(U, 2.0, 0.5, FourCovector(0.0, 1.0, bad, 0.0))
+
+    def raised():
+        with pytest.raises((ValueError, OverflowError)) as info:
+            call()
+        return type(info.value), str(info.value), str(info.value.__cause__)
+
+    first = raised()
+    assert first[1] == f"shell energy: py is {bad!r}"
+    assert raised() == first
+    assert homogeneous._shell_sum.cache_info().currsize == 0
+
+
+def test_a_default_run_keeps_the_shell_cache_bounded():
+    run_checks()
+    assert homogeneous._shell_sum.cache_info().currsize <= 128
 
 
 def test_shell_arithmetic_builds_no_fraction(monkeypatch):
