@@ -5,6 +5,9 @@ runs the same physical motion in two frames and reports the worst event
 discrepancy, ``verify`` runs the property suites, and ``legendre``
 evaluates the momentum lift of a configured initial condition.  Rows
 are written a block at a time; memory is bounded by one block per run.
+When a second CPU is usable, ``simulate`` and ``boost`` format and write
+their rows in a forked writer while the command integrates; the writer
+holds one block per run too, and failures and exit codes are the same.
 
 Exit codes: 0 success, 1 verification or covariance failure, 2 invalid
 input, 3 numeric failure.
@@ -15,12 +18,15 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import marshal
 import math
 import os
 import shutil
 import sys
 import tempfile
+import threading
 from collections.abc import Iterable, Iterator, Sequence
+from functools import partial
 from itertools import chain, islice, starmap
 from typing import BinaryIO
 
@@ -50,23 +56,111 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
+def _write_block(handles: Sequence[BinaryIO], start: int, flats: Sequence[tuple]):
+    """Write rows ``start, ...`` of run i's section, ``flats[i]`` flattened, to ``handles[i]``.
+
+    The header goes first when ``start`` is 0.  One ``%`` and one write per run.
+    """
+    steps = map(b"%d".__mod__, range(start, start + len(flats[0]) // len(Sample._fields)))
+    fmt = (b"" if start else _CSV_HEADER) + _CSV_FIELDS.join(steps) + _CSV_FIELDS
+    for handle, flat in zip(handles, flats):
+        handle.write(fmt % flat)
+
+
+def _forks(handles: Sequence[BinaryIO]) -> bool:
+    """Whether a forked writer can format beside this process.
+
+    On one usable CPU it only adds work, a fork copies only this thread,
+    and the writer needs files.
+    """
+    try:
+        for handle in handles:
+            handle.fileno()
+    except OSError:  # io.UnsupportedOperation: an in-memory handle
+        return False
+    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0)
+    return hasattr(os, "fork") and len(cpus) > 1 and threading.active_count() == 1
+
+
+def _send(pipe: BinaryIO, message):
+    data = marshal.dumps(message)
+    pipe.write(len(data).to_bytes(4, "little") + data)
+
+
+def _writer(handles: Sequence[BinaryIO], blocks: int, errors: int):
+    """The forked child: ``_write_block`` each block ``_send`` put into fd ``blocks``.
+
+    Only the end marker ``None`` completes the sections.  The child ends
+    through ``os._exit`` alone, so no exit hook or inherited buffer runs
+    twice; a write error's arguments go back through fd ``errors``.
+    """
+    try:
+        with open(blocks, "rb") as pipe:  # at its end, marshal raises EOFError
+            while (block := marshal.loads(pipe.read(int.from_bytes(pipe.read(4), "little")))
+                   ) is not None:
+                _write_block(handles, *block)
+        for handle in handles:
+            handle.flush()
+    except OSError as exc:
+        os.write(errors, marshal.dumps(exc.args))
+    else:
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+@contextlib.contextmanager
+def _block_writer(handles: Sequence[BinaryIO]) -> Iterator:
+    """Yield ``write(start, flats)``, which hands one block to ``_write_block``.
+
+    Where ``_forks`` allows, a forked ``_writer`` formats while the caller
+    goes on.  It is reaped before this ends, however it ends; its write
+    error is raised here.  The two share file offsets: seek a handle
+    before writing to it again.
+    """
+    if not _forks(handles):
+        yield partial(_write_block, handles)
+        return
+    for handle in handles:
+        handle.flush()
+    (blocks_in, blocks_out), (errors_in, errors_out) = os.pipe(), os.pipe()
+    if (pid := os.fork()) == 0:
+        os.close(blocks_out)  # else the child's pipe never ends
+        _writer(handles, blocks_in, errors_out)
+    os.close(blocks_in)
+    os.close(errors_out)
+    pipe = open(blocks_out, "wb")
+    try:
+        yield lambda start, flats: _send(pipe, (start, flats))
+        _send(pipe, None)
+    except BrokenPipeError:
+        pass  # the child stopped reading; its status says why
+    finally:
+        with contextlib.suppress(OSError):
+            pipe.close()
+        status = os.waitpid(pid, 0)[1]
+        with open(errors_in, "rb") as errors:
+            error = errors.read()
+    if status:
+        raise OSError(*marshal.loads(error) if error else (
+            f"out: CSV writer ended with exit code {os.waitstatus_to_exitcode(status)}",))
+
+
 def _csv_sections(runs: Sequence[Iterable[Sample]], handles: Sequence[BinaryIO]
                   ) -> Iterator[tuple[Sequence[Sample], ...]]:
     """Advance ``runs`` in lockstep, writing run i's CSV section to ``handles[i]``.
 
-    ``_BLOCK`` steps at a time, each run's rows by one ``%`` and one write;
-    each block is then yielded as one tuple of samples per run.
+    ``_BLOCK`` steps at a time, by ``_block_writer``; each block is then
+    yielded as one tuple of samples per run.  The sections are complete
+    once the generator is exhausted; one left early must be closed before
+    their files go, so that no writer outlives them.
     """
-    for handle in handles:
-        handle.write(_CSV_HEADER)
     lockstep, start = zip(*runs), 0
-    while block := tuple(zip(*islice(lockstep, _BLOCK))):
-        for handle, samples in zip(handles, block):
-            steps = map(b"%d".__mod__, range(start, start + len(samples)))
-            fmt = _CSV_FIELDS.join(steps) + _CSV_FIELDS
-            handle.write(fmt % tuple(chain.from_iterable(samples)))
-        yield block
-        start += _BLOCK
+    with _block_writer(handles) as write:
+        while block := tuple(zip(*islice(lockstep, _BLOCK))):
+            write(start, tuple(tuple(chain.from_iterable(samples)) for samples in block))
+            yield block
+            start += _BLOCK
 
 
 @contextlib.contextmanager
@@ -130,12 +224,15 @@ def _cmd_boost(args) -> int:
 
     # The two runs advance together: the first section goes straight to
     # the output, the second to a scratch file appended once both end.
-    # The event gap is folded per block.  Only finite samples are yielded:
-    # no gap is NaN, so the fold reads both to the end.
-    with _replacing(args.out) as handle, tempfile.TemporaryFile() as later:
-        discrepancy = _worst(starmap(max_event_gap,
-                                     _csv_sections((first, second), (handle, later))))
+    # The event gap is folded per block, outside the generator, which is
+    # closed before the output goes.  Only finite samples are yielded: no
+    # gap is NaN, so the fold reads both to the end.
+    with _replacing(args.out) as handle, tempfile.TemporaryFile() as later, \
+            contextlib.closing(_csv_sections((first, second), (handle, later))) as sections:
+        discrepancy = _worst(starmap(max_event_gap, sections))
         later.seek(0)
+        # A forked writer moved the offset handle shares with it.
+        handle.seek(0, os.SEEK_END)
         handle.write(b"\n")
         shutil.copyfileobj(later, handle)
         handle.write(f"\nmax_event_discrepancy={_fmt(discrepancy)}\n".encode())

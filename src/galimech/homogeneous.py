@@ -207,8 +207,11 @@ def is_dynamics_member(u: Frame, mass: float, potential: Potential, x: Event,
     s = pair(TIME_FORM, xdot)
     if not s > TIME_RATE_FLOOR:
         return False
-    if not _within(p.components(),
-                   _legendre(u, mass, potential, x, xdot, s).components(), tol):
+    try:
+        image = _legendre(u, mass, potential, x, xdot, s)
+    except (ArithmeticError, ValueError):  # the image or its shell sum left the floats
+        return False
+    if not _within(p.components(), image.components(), tol):
         return False
     return _within(pdot.components(), _momentum_rate(potential, x, s), tol)
 

@@ -365,8 +365,8 @@ def _per_row_section(samples) -> str:
 
 
 @pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK])
-def test_block_boundaries_write_the_per_row_bytes(tmp_path, count):
-    """``count`` samples per run: both outputs match a row-by-row rendering."""
+def test_block_boundaries_write_the_per_row_bytes(tmp_path, csv_ways, count):
+    """``count`` samples per run: both outputs, either way, match a row-by-row rendering."""
     cfg = write(tmp_path, HARMONIC.replace("steps = 6284", f"steps = {count - 1}")
                 + "frame = 0.3, -0.2, 0.1\n")
     run, boost = load_config(cfg), SpatialVector(0.7, 0.0, -0.25)
@@ -378,13 +378,14 @@ def test_block_boundaries_write_the_per_row_bytes(tmp_path, count):
     assert len(first) == len(second) == count
     gap = max(abs(a[i] - b[i]) for a, b in zip(first, second) for i in range(4))
     simulated, boosted = tmp_path / "simulate.csv", tmp_path / "boost.txt"
-    assert main(["simulate", "--config", cfg, "--out", str(simulated)]) == 0
-    assert main(["boost", "--config", cfg, "--boost", "0.7,0,-0.25",
-                 "--out", str(boosted)]) == 0
-    assert simulated.read_bytes() == _per_row_section(first).encode()
-    assert boosted.read_bytes() == (
-        _per_row_section(first) + "\n" + _per_row_section(second)
-        + f"\nmax_event_discrepancy={format(gap, '.17g')}\n").encode()
+    for way in csv_ways:
+        assert main(["simulate", "--config", cfg, "--out", str(simulated)]) == 0
+        assert main(["boost", "--config", cfg, "--boost", "0.7,0,-0.25",
+                     "--out", str(boosted)]) == 0
+        assert simulated.read_bytes() == _per_row_section(first).encode(), way
+        assert boosted.read_bytes() == (
+            _per_row_section(first) + "\n" + _per_row_section(second)
+            + f"\nmax_event_discrepancy={format(gap, '.17g')}\n").encode(), way
 
 
 # The boosted run's momentum starts 1e154 further out, so under the same
@@ -454,16 +455,20 @@ def test_boost_zero_is_exact(tmp_path):
     assert out.read_text().splitlines()[-1] == "max_event_discrepancy=0"
 
 
-def test_boost_output_layout(tmp_path):
+def test_boost_output_layout(tmp_path, csv_ways):
     out = tmp_path / "pair.txt"
-    assert main(["boost", "--config", write(tmp_path, FREE),
-                 "--boost", "0.25,0,0", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert len(lines) == 27
-    assert lines[0] == HEADER and lines[13] == HEADER
-    assert lines[12] == "" and lines[25] == ""
-    assert lines[26].startswith("max_event_discrepancy=")
-    assert float(lines[26].split("=")[1]) <= 1e-6
+    layouts = []
+    for way in csv_ways:
+        assert main(["boost", "--config", write(tmp_path, FREE),
+                     "--boost", "0.25,0,0", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 27
+        assert lines[0] == HEADER and lines[13] == HEADER
+        assert lines[12] == "" and lines[25] == ""
+        assert lines[26].startswith("max_event_discrepancy=")
+        assert float(lines[26].split("=")[1]) <= 1e-6
+        layouts.append(lines)
+    assert layouts[0] == layouts[1]
 
 
 def test_boost_covariance_on_the_oscillator(tmp_path):

@@ -160,7 +160,11 @@ def _typed_dynamics_member(u, mass, potential, x, p, xdot, pdot, tol=MEMBER_TOL)
     s = pair(TIME_FORM, xdot)
     if not s > TIME_RATE_FLOOR:
         return False
-    if not _typed_within(p, homogeneous._legendre(u, mass, potential, x, xdot, s), tol):
+    try:
+        image = homogeneous._legendre(u, mass, potential, x, xdot, s)
+    except (ArithmeticError, ValueError):  # a verdict: an image off the floats is no member
+        return False
+    if not _typed_within(p, image, tol):
         return False
     return _typed_within(pdot, potential.differential(x) * (-s), tol)
 

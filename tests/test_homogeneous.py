@@ -175,6 +175,31 @@ def test_member_rejects_nan_slots(slot):
     stalled = dataclasses.replace(xdot, dt=math.nan)
     assert not is_dynamics_member(u, 1.0, phi, ORIGIN, p, stalled, pdot)
 
+
+_HOSTILE = (0.0, -0.0, 1.0, -1.0, 5e-324, 1e308, -1e308, 1e154, math.inf, -math.inf, math.nan)
+
+
+@pytest.mark.parametrize("v_slot", ["dt", "dx", "dy", "dz"])
+@pytest.mark.parametrize("p_slot", ["pt", "px", "py", "pz"])
+def test_member_is_a_verdict_on_hostile_slots(v_slot, p_slot):
+    """Each pair of grid values in one xdot slot and one p slot gives a bool.
+
+    A finite 1e308 in a velocity slot used to raise OverflowError from the
+    shell sum of the Legendre image, as did an image slot that overflowed.
+    """
+    u, phi = Frame(1.0, 0.25, -0.5, 0.125), HarmonicPotential(1.5, ORIGIN)
+    x = Event(0.0, 0.5, -1.0, 0.25)
+    p = legendre(u, 2.0, phi, x, FourVector(1.0, 0.5, 0.0, -0.25))
+    xdot, pdot = characteristic_field(u, 2.0, phi, x, p, 1.0)
+    assert is_dynamics_member(u, 2.0, phi, x, p, xdot, pdot)
+    for a in _HOSTILE:
+        for b in _HOSTILE:
+            verdict = is_dynamics_member(u, 2.0, phi, x, dataclasses.replace(p, **{p_slot: b}),
+                                         dataclasses.replace(xdot, **{v_slot: a}), pdot)
+            assert verdict is (verdict is True), (a, b)
+    huge = dataclasses.replace(xdot, dx=1e308)
+    assert is_dynamics_member(u, 2.0, phi, x, p, huge, pdot) is False
+
 @given(frames, masses, potentials, events, four_velocities)
 def test_generating_family_vanishes_on_legendre_points(u, mass, phi, x, v):
     p = legendre(u, mass, phi, x, v)

@@ -30,18 +30,21 @@ directory, with bytecode caching off and the module rewritten through
 ``ast.unparse``.  The unmutated tree is first run the same way, with
 every module round-tripped through ``ast.unparse``; the probe stops if
 that baseline fails.  Two mutants run at a time, each child limited in
-time and address space.  A full run takes about an hour on 2 vCPUs.
+time and address space, and so is any process it forks.  A full run
+takes about an hour on 2 vCPUs.
 Standard library only; the test suite does not collect this file.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import os
 import queue
 import re
 import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -182,17 +185,28 @@ def _replace(tree: ast.AST, target: ast.AST, by: ast.AST):
 
 
 def _run(tree: Path, args, timeout: float) -> tuple[int | None, str]:
-    """Exit code and stdout of a child in ``tree``; None on a timeout."""
+    """Exit code and stdout of a child in ``tree``; None on a timeout.
+
+    The child leads a session of its own, which is killed as a whole once
+    the child ends or times out: a process it forked, such as the CSV
+    writer of ``simulate``, goes with it, even one a mutant left waiting
+    forever.  Its stdout goes to a file, so such a process cannot hold
+    the probe up either.
+    """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    try:
-        done = subprocess.run([sys.executable, *args], cwd=tree, env=env,
-                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                              text=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return None, ""
-    finally:
-        shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
-    return done.returncode, done.stdout
+    with tempfile.TemporaryFile("w+") as out:
+        with subprocess.Popen([sys.executable, *args], cwd=tree, env=env, stdout=out,
+                              stderr=subprocess.DEVNULL, start_new_session=True) as child:
+            try:
+                code = child.wait(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                code = None
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(child.pid, signal.SIGKILL)
+                shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
+        out.seek(0)
+        return code, "" if code is None else out.read()
 
 
 class Probe:
