@@ -25,7 +25,7 @@ import shutil
 import sys
 import tempfile
 import threading
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 from itertools import chain, islice, starmap
 from typing import BinaryIO
@@ -67,17 +67,11 @@ def _write_block(handles: Sequence[BinaryIO], start: int, flats: Sequence[tuple]
         handle.write(fmt % flat)
 
 
-def _forks(handles: Sequence[BinaryIO]) -> bool:
+def _forks() -> bool:
     """Whether a forked writer can format beside this process.
 
-    On one usable CPU it only adds work, a fork copies only this thread,
-    and the writer needs files.
+    On one usable CPU it only adds work, and a fork copies only this thread.
     """
-    try:
-        for handle in handles:
-            handle.fileno()
-    except OSError:  # io.UnsupportedOperation: an in-memory handle
-        return False
     cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0)
     return hasattr(os, "fork") and len(cpus) > 1 and threading.active_count() == 1
 
@@ -114,11 +108,10 @@ def _block_writer(handles: Sequence[BinaryIO]) -> Iterator:
     """Yield ``write(start, flats)``, which hands one block to ``_write_block``.
 
     Where ``_forks`` allows, a forked ``_writer`` formats while the caller
-    goes on.  It is reaped before this ends, however it ends; its write
-    error is raised here.  The two share file offsets: seek a handle
-    before writing to it again.
+    goes on, writing to the files ``handles`` hold.  It is reaped before
+    this ends, however it ends; its write error is raised here.
     """
-    if not _forks(handles):
+    if not _forks():
         yield partial(_write_block, handles)
         return
     for handle in handles:
@@ -146,21 +139,18 @@ def _block_writer(handles: Sequence[BinaryIO]) -> Iterator:
             f"out: CSV writer ended with exit code {os.waitstatus_to_exitcode(status)}",))
 
 
-def _csv_sections(runs: Sequence[Iterable[Sample]], handles: Sequence[BinaryIO]
+def _csv_sections(runs: Sequence[Iterable[Sample]], write: Callable
                   ) -> Iterator[tuple[Sequence[Sample], ...]]:
-    """Advance ``runs`` in lockstep, writing run i's CSV section to ``handles[i]``.
+    """Advance ``runs`` in lockstep, handing run i's CSV rows to ``write`` as ``flats[i]``.
 
-    ``_BLOCK`` steps at a time, by ``_block_writer``; each block is then
-    yielded as one tuple of samples per run.  The sections are complete
-    once the generator is exhausted; one left early must be closed before
-    their files go, so that no writer outlives them.
+    ``_BLOCK`` steps at a time, to a ``_block_writer``'s ``write``; each
+    block is then yielded as one tuple of samples per run.
     """
     lockstep, start = zip(*runs), 0
-    with _block_writer(handles) as write:
-        while block := tuple(zip(*islice(lockstep, _BLOCK))):
-            write(start, tuple(tuple(chain.from_iterable(samples)) for samples in block))
-            yield block
-            start += _BLOCK
+    while block := tuple(zip(*islice(lockstep, _BLOCK))):
+        write(start, tuple(tuple(chain.from_iterable(samples)) for samples in block))
+        yield block
+        start += _BLOCK
 
 
 @contextlib.contextmanager
@@ -203,9 +193,9 @@ def _run(cfg: RunConfig, u: Frame, p0: SpatialCovector) -> Iterator[Sample]:
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     samples = _run(cfg, cfg.frame, cfg.p0)
-    with _replacing(args.out) as handle:
+    with _replacing(args.out) as handle, _block_writer((handle,)) as write:
         # A zero-length deque drains the blocks without a Python loop.
-        collections.deque(_csv_sections((samples,), (handle,)), maxlen=0)
+        collections.deque(_csv_sections((samples,), write), maxlen=0)
     return 0
 
 
@@ -223,16 +213,13 @@ def _cmd_boost(args) -> int:
     second = _run(cfg, u2, p2)
 
     # The two runs advance together: the first section goes straight to
-    # the output, the second to a scratch file appended once both end.
-    # The event gap is folded per block, outside the generator, which is
-    # closed before the output goes.  Only finite samples are yielded: no
-    # gap is NaN, so the fold reads both to the end.
-    with _replacing(args.out) as handle, tempfile.TemporaryFile() as later, \
-            contextlib.closing(_csv_sections((first, second), (handle, later))) as sections:
-        discrepancy = _worst(starmap(max_event_gap, sections))
+    # the output, the second to a scratch file appended once the writer is
+    # reaped.  The event gap is folded per block.  Only finite samples are
+    # yielded: no gap is NaN, so the fold reads both to the end.
+    with _replacing(args.out) as handle, tempfile.TemporaryFile() as later:
+        with _block_writer((handle, later)) as write:
+            discrepancy = _worst(starmap(max_event_gap, _csv_sections((first, second), write)))
         later.seek(0)
-        # A forked writer moved the offset handle shares with it.
-        handle.seek(0, os.SEEK_END)
         handle.write(b"\n")
         shutil.copyfileobj(later, handle)
         handle.write(f"\nmax_event_discrepancy={_fmt(discrepancy)}\n".encode())

@@ -102,17 +102,12 @@ def lagrangian_differential(u: Frame, mass: float, potential: Potential,
     return base, _legendre(u, mass, potential, x, v, s)
 
 
-def _shell_energy(u: Frame, mass: float, phi: float, px: float, py: float,
-                  pz: float, pt: float = 0.0) -> float:
-    return _shell_sum(px, py, pz, mass, u.dx, u.dy, u.dz, phi, pt, u.dt)
-
-
 # Verify's suites repeat recent shells: 128 kept caught every repeat of a default
 # run, 64 about nine in ten.  Equal keys (-0.0, 0.0) have equal integer ratios.
 @lru_cache(maxsize=128)
 def _shell_sum(px: float, py: float, pz: float, mass: float, ux: float, uy: float,
                uz: float, phi: float, pt: float, ut: float) -> float:
-    """p²/2m + p·u + φ + pt·u.dt over the slots of ``_shell_energy``, rounded once.
+    """The shell energy p²/2m + p·u + φ + pt·u.dt of the slots, rounded once.
 
     Each float slot is an integer over a power of two, so the sum is one
     integer over 2·m_num·D, D the largest term denominator, and int / int
@@ -123,6 +118,7 @@ def _shell_sum(px: float, py: float, pz: float, mass: float, ux: float, uy: floa
     lengths, d the largest, so D = 2^(d - 3) and left shifts align numerators.
     Slots convert in argument order (p, mass, u, phi, pt, u.dt), and the
     first non-finite one names the error, whose type its conversion sets.
+    A sum beyond the floats raises ``OverflowError`` from the division's.
     """
     try:
         (ax, bx), (ay, by) = px.as_integer_ratio(), py.as_integer_ratio()
@@ -139,10 +135,13 @@ def _shell_sum(px: float, py: float, pz: float, mass: float, ux: float, uy: floa
     kx, ky = 2 * bx.bit_length() + fx.bit_length(), 2 * by.bit_length() + fy.bit_length()
     kz = 2 * bz.bit_length() + fz.bit_length()
     d = max(kx, ky, kz, kh, ke)
-    return (((ax * (ax * md * fx + m2 * ex * bx)) << d - kx)
-            + ((ay * (ay * md * fy + m2 * ey * by)) << d - ky)
-            + ((az * (az * md * fz + m2 * ez * bz)) << d - kz)
-            + m2 * ((h << d - kh) + (c * e << d - ke))) / (m2 << d - 3)
+    try:
+        return (((ax * (ax * md * fx + m2 * ex * bx)) << d - kx)
+                + ((ay * (ay * md * fy + m2 * ey * by)) << d - ky)
+                + ((az * (az * md * fz + m2 * ez * bz)) << d - kz)
+                + m2 * ((h << d - kh) + (c * e << d - ke))) / (m2 << d - 3)
+    except OverflowError as exc:
+        raise OverflowError("shell energy: sum is too large for a float") from exc
 
 
 def _legendre(u: Frame, mass: float, potential: Potential, x: Event,
@@ -151,7 +150,7 @@ def _legendre(u: Frame, mass: float, potential: Potential, x: Event,
     a = mass / s
     px, py, pz = a * wx, a * wy, a * wz
     # The time slot balances the stored spatial slots on the mass shell.
-    pt = -_shell_energy(u, mass, potential.value(x), px, py, pz)
+    pt = -_shell_sum(px, py, pz, mass, u.dx, u.dy, u.dz, potential.value(x), 0.0, u.dt)
     return FourCovector(pt, px, py, pz)
 
 
@@ -192,7 +191,7 @@ def mass_shell_residual(u: Frame, mass: float, potential: Potential,
     energy, never a rounded energy, and the whole defect is rounded once.
     """
     _require_mass(mass)
-    return _shell_energy(u, mass, potential.value(x), p.px, p.py, p.pz, p.pt)
+    return _shell_sum(p.px, p.py, p.pz, mass, u.dx, u.dy, u.dz, potential.value(x), p.pt, u.dt)
 
 
 def is_dynamics_member(u: Frame, mass: float, potential: Potential, x: Event,

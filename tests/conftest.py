@@ -10,6 +10,6 @@ def csv_ways(monkeypatch):
     """The ways the CLI can write its CSV: each makes it write that way, on any machine."""
     def ways():
         for way in ("forked", "in-process"):
-            monkeypatch.setattr(cli, "_forks", lambda handles, fork=way == "forked": fork)
+            monkeypatch.setattr(cli, "_forks", lambda fork=way == "forked": fork)
             yield way
     return ways()

@@ -70,7 +70,7 @@ def no_child_left():
 @pytest.fixture(params=["forked", "in-process"])
 def way(request, monkeypatch):
     """The way the CLI writes its rows, whatever the machine."""
-    monkeypatch.setattr(cli, "_forks", lambda handles: request.param == "forked")
+    monkeypatch.setattr(cli, "_forks", lambda: request.param == "forked")
     return request.param
 
 
@@ -148,7 +148,7 @@ def test_a_write_error_is_one_line_either_way(tmp_path, capsys, monkeypatch, way
 
 def test_a_writer_that_dies_unannounced_is_an_error(tmp_path, capsys, monkeypatch):
     """A forked writer that ends without a reason sent still fails the command."""
-    monkeypatch.setattr(cli, "_forks", lambda handles: True)
+    monkeypatch.setattr(cli, "_forks", lambda: True)
     monkeypatch.setattr(cli, "_write_block", lambda *block: os._exit(9))
     assert _run(tmp_path, SIMULATE, FREE, existing=False) == (2, True)
     assert capsys.readouterr().err == "error: out: CSV writer ended with exit code 9\n"
@@ -160,52 +160,51 @@ SECTION = cli._CSV_HEADER + b"".join(b"%d" % i + cli._CSV_FIELDS % s
 
 
 def test_what_a_handle_held_before_the_fork_is_written_once(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_forks", lambda handles: True)
+    monkeypatch.setattr(cli, "_forks", lambda: True)
     with open(tmp_path / "a", "wb") as handle:
         handle.write(b"before\n")
-        collections.deque(cli._csv_sections((SAMPLES,), (handle,)), maxlen=0)
-        handle.seek(0, os.SEEK_END)
+        with cli._block_writer((handle,)) as write:
+            collections.deque(cli._csv_sections((SAMPLES,), write), maxlen=0)
         handle.write(b"after\n")
     assert (tmp_path / "a").read_bytes() == b"before\n" + SECTION + b"after\n"
 
 
-def test_in_memory_handles_are_written_in_process():
+def test_in_memory_handles_are_written_in_process(monkeypatch):
+    monkeypatch.setattr(cli, "_forks", lambda: False)
     handles = io.BytesIO(), io.BytesIO()
-    collections.deque(cli._csv_sections((SAMPLES, SAMPLES), handles), maxlen=0)
+    with cli._block_writer(handles) as write:
+        collections.deque(cli._csv_sections((SAMPLES, SAMPLES), write), maxlen=0)
     assert [handle.getvalue() for handle in handles] == [SECTION, SECTION]
 
 
-def test_the_writer_forks_only_where_it_can_run_beside(tmp_path, monkeypatch):
-    """Real files, a second usable CPU and no other thread; else the command writes."""
-    with open(tmp_path / "a", "wb") as a, open(tmp_path / "b", "wb") as b:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert cli._forks((a, b))
-        assert not cli._forks((a, io.BytesIO()))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
-        assert not cli._forks((a, b))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        done = threading.Event()
-        other = threading.Thread(target=done.wait)
-        other.start()
-        try:
-            assert not cli._forks((a, b))
-        finally:
-            done.set()
-            other.join(timeout=10)
-        assert not other.is_alive()
-        monkeypatch.delattr(os, "fork")
-        assert not cli._forks((a, b))
+def test_the_writer_forks_only_where_it_can_run_beside(monkeypatch):
+    """A second usable CPU and no other thread; else the command writes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli._forks()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+    assert not cli._forks()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        assert not cli._forks()
+    finally:
+        done.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    monkeypatch.delattr(os, "fork")
+    assert not cli._forks()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
-def test_a_process_pinned_to_one_cpu_writes_in_process(tmp_path):
+def test_a_process_pinned_to_one_cpu_writes_in_process():
     cpus = os.sched_getaffinity(0)
-    with open(tmp_path / "a", "wb") as a:
-        try:
-            os.sched_setaffinity(0, {min(cpus)})
-            assert not cli._forks((a,))
-        finally:
-            os.sched_setaffinity(0, cpus)
+    try:
+        os.sched_setaffinity(0, {min(cpus)})
+        assert not cli._forks()
+    finally:
+        os.sched_setaffinity(0, cpus)
 
 
 def test_the_writer_runs_no_exit_hook_and_flushes_no_inherited_buffer(tmp_path):
@@ -216,7 +215,7 @@ def test_the_writer_runs_no_exit_hook_and_flushes_no_inherited_buffer(tmp_path):
     script = (
         "import atexit, sys\n"
         "from galimech import cli\n"
-        "cli._forks = lambda handles: True\n"
+        "cli._forks = lambda: True\n"
         "atexit.register(print, 'exit hook')\n"
         "sys.stdout.write('buffered\\n')\n"
         f"code = cli.main({argv!r})\n"

@@ -3,7 +3,10 @@ import io
 import math
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +17,7 @@ from galimech.config import load_config
 from galimech.frame_dynamics import integrate
 from galimech.verify import CHECKS
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 HEADER = "step,t,x,y,z,px,py,pz,energy"
 
 FREE = """\
@@ -448,6 +452,43 @@ def test_boost_memory_does_not_grow_with_steps(tmp_path):
     _assert_flat_memory(tmp_path, ["boost", "--boost", "0.7,0,0"], 500)
 
 
+# Runs galimech with the remaining arguments and prints its exit code and
+# the peak from wait4: the largest of the command and of the children it
+# reaped.  A child's peak includes what it held before its exec, so the
+# command is started from this small process, not from the test process.
+_PEAK = """\
+import os, subprocess, sys
+with subprocess.Popen([sys.executable, "-m", "galimech", *sys.argv[1:]]) as proc:
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss / (1024 if sys.platform == "darwin" else 1))
+"""
+
+
+def _command_peak_kib(tmp_path, command, steps: int) -> float:
+    """Peak resident KiB of ``galimech command``, forked writer included."""
+    cfg = write(tmp_path, HARMONIC.replace("steps = 6284", f"steps = {steps}"))
+    done = subprocess.run([sys.executable, "-c", _PEAK, *command, "--config", cfg,
+                           "--out", str(tmp_path / "run.csv")], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    code, peak = done.stdout.split()
+    assert (code, done.stderr) == ("0", "")
+    return float(peak)
+
+
+# Measured on Linux, Python 3.11, 2 CPUs: 1x and 20x the steps peak within
+# 0.15 MiB of each other (about 17.1 MiB); a writer that keeps every block
+# it receives adds 2.4 MiB at 20x.
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="no wait4")
+@pytest.mark.parametrize("command, steps", [(["simulate"], 1000),
+                                            (["boost", "--boost", "0.7,0,0"], 500)],
+                         ids=["simulate", "boost"])
+def test_the_command_and_its_writer_do_not_grow_with_steps(tmp_path, command, steps):
+    small = _command_peak_kib(tmp_path, command, steps)
+    large = _command_peak_kib(tmp_path, command, 20 * steps)
+    assert large <= small + 1024, (small, large)
+
+
 def test_boost_zero_is_exact(tmp_path):
     out = tmp_path / "pair.txt"
     assert main(["boost", "--config", write(tmp_path, FREE),
@@ -600,6 +641,13 @@ def test_legendre_overflow_exits_3(tmp_path, capsys, line):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: legendre: ") and out.err.count("\n") == 1
+
+
+def test_legendre_shell_overflow_names_the_shell_energy(tmp_path, capsys):
+    cfg = write(tmp_path, LEGENDRE_BASE.replace("v0 = 0.6, 0, 0", "v0 = 1e200, 0, 0"))
+    assert main(["legendre", "--config", cfg]) == 3
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: shell energy: sum is too large for a float\n")
 
 
 def test_verify_single_trial(capsys):

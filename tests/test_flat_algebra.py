@@ -232,7 +232,7 @@ def test_homogeneous_lagrangian_matches_the_typed_pairing(u, mass, v, phi):
 def test_legendre_spatial_slots_match_the_typed_projection(u, mass, v):
     # The time slot has its own Fraction oracle; here it is held at zero
     # so that every spatial slot is compared, non-finite ones included.
-    with mock.patch.object(homogeneous, "_shell_energy", lambda *args: 0.0):
+    with mock.patch.object(homogeneous, "_shell_sum", lambda *slots: 0.0):
         got = _outcome(lambda: restrict(legendre(u, mass, PHI, X, v)))
     assert got == _outcome(lambda: _typed_legendre_spatial(u, mass, v))
 

@@ -342,15 +342,20 @@ def test_mass_must_be_positive_and_finite(call, mass):
 
 # -- the shell sum against exact rational arithmetic ------------------------
 
-def _fraction_shell(u, mass, phi, px, py, pz, pt=0.0):
-    """p²/2m + p·u + φ + pt·u.dt in Fraction, rounded once: the oracle."""
+def _body_slots(u, mass, phi, px, py, pz, pt=0.0):
+    """A frame's shell energy arguments as ``_shell_sum`` reads them."""
+    return px, py, pz, mass, u.dx, u.dy, u.dz, phi, pt, u.dt
+
+
+def _fraction_shell(px, py, pz, mass, ux, uy, uz, phi, pt, ut):
+    """p²/2m + p·u + φ + pt·u.dt of ``_shell_sum``'s slots in Fraction, rounded once."""
     kin = Fraction(px) ** 2 + Fraction(py) ** 2 + Fraction(pz) ** 2
     total = (kin / (2 * Fraction(mass))
-             + Fraction(px) * Fraction(u.dx)
-             + Fraction(py) * Fraction(u.dy)
-             + Fraction(pz) * Fraction(u.dz)
+             + Fraction(px) * Fraction(ux)
+             + Fraction(py) * Fraction(uy)
+             + Fraction(pz) * Fraction(uz)
              + Fraction(phi))
-    return float(total + Fraction(pt) * Fraction(u.dt))
+    return float(total + Fraction(pt) * Fraction(ut))
 
 
 def _outcome(call):
@@ -367,7 +372,7 @@ def _outcome(call):
 
 def _against_fraction(call):
     """Outcome of ``call``, and of the same call with the Fraction shell sum."""
-    with mock.patch.object(homogeneous, "_shell_energy", _fraction_shell):
+    with mock.patch.object(homogeneous, "_shell_sum", _fraction_shell):
         want = _outcome(call)
     return _outcome(call), want
 
@@ -427,7 +432,7 @@ moderate = st.floats(-1e150, 1e150)
        st.floats(-1e300, 1e300), moderate, moderate, moderate)
 def test_on_shell_residual_matches_fraction_oracle(u, mass, phi, px, py, pz):
     # pt = -shell makes the residual a near-total cancellation.
-    p = FourCovector(-_fraction_shell(u, mass, phi, px, py, pz), px, py, pz)
+    p = FourCovector(-_fraction_shell(*_body_slots(u, mass, phi, px, py, pz)), px, py, pz)
     potential, x = _constant(phi)
     got, want = _against_fraction(lambda: mass_shell_residual(u, mass, potential, x, p))
     assert got == want
@@ -466,6 +471,18 @@ def test_shell_errors_match_fraction_oracle(call):
     got, want = _against_fraction(call)
     assert isinstance(want, tuple)
     assert got == want
+
+
+def test_a_shell_sum_beyond_the_floats_names_itself():
+    """Finite slots whose sum overflows: an ``OverflowError`` naming the shell energy."""
+    fast, zero = FourVector(1.0, 1e300, 0.0, 0.0), FourCovector(0.0, 0.0, 0.0, 0.0)
+    for call in (_residual(REST_FRAME, 1.0, 1.7e308, FourCovector(1.7e308, 0.0, 0.0, 0.0)),
+                 lambda: legendre(U, 1e8, ZeroPotential(), ORIGIN, fast)):
+        with pytest.raises(OverflowError) as raised:
+            call()
+        assert str(raised.value) == "shell energy: sum is too large for a float"
+        assert str(raised.value.__cause__) == "integer division result too large for a float"
+    assert is_dynamics_member(U, 1e8, ZeroPotential(), ORIGIN, zero, fast, zero) is False
 
 
 # Each slot the shell sum reads, made non-finite through the public calls.
@@ -514,11 +531,6 @@ def test_non_finite_shell_slot_names_itself(case, bad, kind):
 
 # -- the shell cache --------------------------------------------------------
 
-def _body_slots(u, mass, phi, px, py, pz, pt=0.0):
-    """``_shell_energy``'s arguments as the cached sum reads them."""
-    return px, py, pz, mass, u.dx, u.dy, u.dz, phi, pt, u.dt
-
-
 # Pairs of calls whose keys are equal but not identical: signed zeros, and
 # an int mass beside its float.
 @pytest.mark.parametrize("first, second", [
@@ -530,11 +542,11 @@ def _body_slots(u, mass, phi, px, py, pz, pt=0.0):
 ], ids=["signed-zero-slots", "all-zero", "int-mass"])
 def test_a_shell_cache_hit_is_the_uncached_sum(first, second):
     homogeneous._shell_sum.cache_clear()
-    missed = homogeneous._shell_energy(*first)
-    hit = homogeneous._shell_energy(*second)
+    missed = homogeneous._shell_sum(*_body_slots(*first))
+    hit = homogeneous._shell_sum(*_body_slots(*second))
     assert homogeneous._shell_sum.cache_info()[:2] == (1, 1)
     uncached = homogeneous._shell_sum.__wrapped__(*_body_slots(*second))
-    assert hit.hex() == missed.hex() == uncached.hex() == _fraction_shell(*second).hex()
+    assert hit.hex() == missed.hex() == uncached.hex() == _fraction_shell(*_body_slots(*second)).hex()
 
 
 @pytest.mark.parametrize("bad", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])

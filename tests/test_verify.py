@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import math
 import random
 from itertools import starmap
@@ -432,10 +431,9 @@ def test_max_event_gap_matches_the_typed_event_fold(first, second):
 
 
 def _boost_fold(first, second) -> float:
-    """``boost``'s discrepancy: ``max_event_gap`` over the blocks ``_csv_sections`` writes."""
-    handles = io.BytesIO(), io.BytesIO()
-    return verify._worst(starmap(max_event_gap,
-                                 _csv_sections((iter(first), iter(second)), handles)))
+    """``boost``'s discrepancy: ``max_event_gap`` over the blocks ``_csv_sections`` yields."""
+    sections = _csv_sections((iter(first), iter(second)), lambda start, flats: None)
+    return verify._worst(starmap(max_event_gap, sections))
 
 
 def _sample_runs(count: int, seed: int) -> tuple[list[Sample], list[Sample]]:
