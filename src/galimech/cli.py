@@ -8,6 +8,7 @@ are written a block at a time; memory is bounded by one block per run.
 When a second CPU is usable, ``simulate`` and ``boost`` format and write
 their rows in a forked writer while the command integrates; the writer
 holds one block per run too, and failures and exit codes are the same.
+``verify`` then folds half of its trial blocks in a forked worker.
 
 Exit codes: 0 success, 1 verification or covariance failure, 2 invalid
 input, 3 numeric failure.
@@ -24,7 +25,6 @@ import os
 import shutil
 import sys
 import tempfile
-import threading
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 from itertools import chain, islice, starmap
@@ -35,7 +35,7 @@ from .chart import Frame, SpatialCovector, SpatialVector, embed, metric
 from .config import ConfigError, RunConfig, _float, _floats, _positive, load_config
 from .frame_dynamics import Sample, integrate
 from .homogeneous import legendre, mass_shell_residual
-from .verify import _worst, max_event_gap, render_report, run_checks
+from .verify import _forks, _receive, _send, _worst, max_event_gap, render_report, run_checks
 
 __all__ = ["main"]
 
@@ -67,20 +67,6 @@ def _write_block(handles: Sequence[BinaryIO], start: int, flats: Sequence[tuple]
         handle.write(fmt % flat)
 
 
-def _forks() -> bool:
-    """Whether a forked writer can format beside this process.
-
-    On one usable CPU it only adds work, and a fork copies only this thread.
-    """
-    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0)
-    return hasattr(os, "fork") and len(cpus) > 1 and threading.active_count() == 1
-
-
-def _send(pipe: BinaryIO, message):
-    data = marshal.dumps(message)
-    pipe.write(len(data).to_bytes(4, "little") + data)
-
-
 def _writer(handles: Sequence[BinaryIO], blocks: int, errors: int):
     """The forked child: ``_write_block`` each block ``_send`` put into fd ``blocks``.
 
@@ -89,9 +75,8 @@ def _writer(handles: Sequence[BinaryIO], blocks: int, errors: int):
     twice; a write error's arguments go back through fd ``errors``.
     """
     try:
-        with open(blocks, "rb") as pipe:  # at its end, marshal raises EOFError
-            while (block := marshal.loads(pipe.read(int.from_bytes(pipe.read(4), "little")))
-                   ) is not None:
+        with open(blocks, "rb") as pipe:  # at its end, _receive raises EOFError
+            while (block := _receive(pipe)) is not None:
                 _write_block(handles, *block)
         for handle in handles:
             handle.flush()

@@ -9,11 +9,20 @@ report their worst error against a per-suite tolerance; verdict suites,
 gated at zero, report the sum of their disagreement counts.  A NaN error
 always fails its suite.  Trajectory-backed suites cap their case count:
 a thousand integrations would add wall time, not coverage.
+
+When a second CPU is usable, a forked worker folds the odd blocks of
+trials while ``run_checks`` folds the even ones.  A worst error is a
+maximum and verdict counts are integers, so neither depends on the order
+of trials.  If either side fails, the run is repeated in process.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
+import signal
+import threading
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -667,6 +676,45 @@ CHECKS: tuple[Check, ...] = (
 _BLOCK = 8
 
 
+def _forks() -> bool:
+    """Whether a forked process can run beside this one: on one usable CPU
+    it only adds work, and a fork copies only this thread."""
+    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0)
+    return hasattr(os, "fork") and len(cpus) > 1 and threading.active_count() == 1
+
+
+def _send(pipe, message):
+    data = marshal.dumps(message)
+    pipe.write(len(data).to_bytes(4, "little") + data)
+
+
+def _receive(pipe):
+    """The next message ``_send`` wrote to ``pipe``; at its end, ``EOFError``."""
+    return marshal.loads(pipe.read(int.from_bytes(pipe.read(4), "little")))
+
+
+def _split(fold: Callable[[range], list[float]], blocks: range) -> list | None:
+    """``fold`` of the even ``blocks`` here and of the odd ones in a forked worker, or
+    None if either raised or the worker sent nothing.  The worker ends by ``os._exit``,
+    and is reaped before this returns, however it returns."""
+    read, write = os.pipe()
+    with open(read, "rb") as pipe, open(write, "wb") as out:
+        if (pid := os.fork()) == 0:
+            try:
+                _send(out, fold(blocks[1::2]))
+                out.close()
+            finally:
+                os._exit(0)
+        out.close()  # else the pipe of a worker that sends nothing never ends
+        try:
+            return [fold(blocks[::2]), _receive(pipe)]
+        except Exception:
+            return None
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_checks(trials: int = 1000, seed: int = 42,
                tolerance: float | None = None,
                names: list[str] | None = None) -> list[CheckResult]:
@@ -688,14 +736,21 @@ def run_checks(trials: int = 1000, seed: int = 42,
         selected = tuple(check for check in CHECKS if check.name in wanted)
     runs = [(check, trials if check.max_trials is None else min(trials, check.max_trials),
              sum if check.tolerance == 0.0 else _worst) for check in selected]
-    errors, gen = [0.0] * len(runs), random.Random()
-    # Each trial's stream is seeded once, ``_BLOCK`` trials at a time; folds
-    # carry over blocks, and ``_worst`` returns a carried NaN untouched.
-    for start in range(0, trials, _BLOCK):
-        streams = [stream(gen, seed + i) for i in range(start, min(start + _BLOCK, trials))]
-        for k, (check, n, fold) in enumerate(runs):
-            replays = map(Replay, streams)
-            errors[k] = fold(chain((errors[k],), map(check.trial, replays, range(start, n))))
+
+    def fold(blocks: range) -> list[float]:
+        errors, gen = [0.0] * len(runs), random.Random()
+        # Each trial's stream is seeded once, ``_BLOCK`` trials at a time; folds
+        # carry over blocks, and ``_worst`` returns a carried NaN untouched.
+        for start in blocks:
+            streams = [stream(gen, seed + i) for i in range(start, min(start + _BLOCK, trials))]
+            for k, (check, n, f) in enumerate(runs):
+                replays = map(Replay, streams)
+                errors[k] = f(chain((errors[k],), map(check.trial, replays, range(start, n))))
+        return errors
+    blocks = range(0, trials, _BLOCK)
+    halves = len(blocks) > 1 and _forks() and _split(fold, blocks)
+    errors = ([f(pair) for (_, _, f), pair in zip(runs, zip(*halves))] if halves
+              else fold(blocks))
     return [CheckResult(check.name, n, error, check.tolerance if tolerance is None
                         else tolerance) for (check, n, _), error in zip(runs, errors)]
 

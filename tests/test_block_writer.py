@@ -9,7 +9,6 @@ import collections
 import errno
 import io
 import os
-import signal
 import subprocess
 import sys
 import threading
@@ -50,21 +49,7 @@ SIMULATE, BOOST = ["simulate"], ["boost", "--boost=0.25,0,0"]
 ENOSPC = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
-@pytest.fixture(autouse=True)
-def no_child_left():
-    def expire(signum, frame):
-        pytest.fail("the CSV writer did not end")  # not an error the CLI reports
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    # Then every second, so that a wait in a clean-up fails too.
-    signal.setitimer(signal.ITIMER_REAL, 60, 1)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+pytestmark = pytest.mark.usefixtures("no_child_left")
 
 
 @pytest.fixture(params=["forked", "in-process"])

@@ -117,24 +117,64 @@ def test_replay_draws_what_a_fresh_generator_draws(seed, calls):
     assert replayed_random().hex() == fresh.random().hex()
 
 
+def _bits(results):
+    return [(r.name, r.trials, r.max_error.hex(), r.tolerance.hex()) for r in results]
+
+
 @pytest.mark.parametrize("seed", [42, 7])
-def test_every_suite_folds_what_fresh_generators_draw(seed):
+def test_every_suite_folds_what_fresh_generators_draw(seed, verify_ways):
     # 130 trials cross block boundaries and end inside a block.
-    results = run_checks(trials=130, seed=seed)
-    assert [r.name for r in results] == [check.name for check in CHECKS]
-    for check, result in zip(CHECKS, results):
-        n = 130 if check.max_trials is None else min(130, check.max_trials)
-        fold = sum if check.tolerance == 0.0 else verify._worst
-        want = fold(check.trial(random.Random(seed + i), i) for i in range(n))
-        assert (result.trials, result.max_error.hex()) == (n, want.hex()), check.name
+    ns = [130 if check.max_trials is None else min(130, check.max_trials) for check in CHECKS]
+    wants = [(sum if check.tolerance == 0.0 else verify._worst)(
+        check.trial(random.Random(seed + i), i) for i in range(n))
+        for check, n in zip(CHECKS, ns)]
     names = ["differential-lift-membership", "energy-conservation", "splitting-identity",
              "shell-transport"]
-    subset = run_checks(trials=130, seed=seed, names=names)
-    assert ([(r.name, r.trials, r.max_error.hex()) for r in subset]
-            == [(r.name, r.trials, r.max_error.hex()) for r in results if r.name in names])
+    for way in verify_ways:
+        results = run_checks(trials=130, seed=seed)
+        assert [r.name for r in results] == [check.name for check in CHECKS]
+        for check, result, n, want in zip(CHECKS, results, ns, wants):
+            assert (result.trials, result.max_error.hex()) == (n, want.hex()), (check.name, way)
+        subset = run_checks(trials=130, seed=seed, names=names)
+        assert _bits(subset) == [bits for bits in _bits(results) if bits[0] in names], way
+
+
+@pytest.mark.parametrize("trials", [1, 8, 9, 16, 17, 130])
+def test_both_ways_fold_the_same_bits(verify_ways, trials):
+    names = ["potential-gradient-fd", "energy-conservation", "legendre-inversion",
+             "dynamics-transport", "morse-off-shell-detection"]
+    got = {way: _bits(run_checks(trials=trials, seed=trials, tolerance=1e-3, names=names))
+           for way in verify_ways}
+    assert got["forked"] == got["in-process"]
+    assert {bits[3] for bits in got["forked"]} == {(1e-3).hex()}
+
+
+def test_folds_carry_across_forked_blocks(monkeypatch):
+    """The forked way: a NaN on either side stays NaN, counts sum exactly, a cap holds.
+
+    The worker's trial calls stay in the worker, so only results are seen.
+    """
+    def numeric(at):
+        return lambda rng, i: math.nan if i == at else 0.5
+
+    def capped(rng, i):
+        return 0.25 * (i == verify._BLOCK + 1)
+
+    cap = verify._BLOCK + 4
+    monkeypatch.setattr(verify, "_forks", lambda: True)
+    monkeypatch.setattr(verify, "CHECKS", (
+        Check("parent-nan", 1.0, numeric(3)), Check("worker-nan", 1.0, numeric(11)),
+        Check("verdict", 0.0, lambda rng, i: float(i % 3)),
+        Check("capped", 1.0, capped, max_trials=cap)))
+    parent_nan, worker_nan, verdict_result, capped_result = run_checks(trials=130, seed=5)
+    assert math.isnan(parent_nan.max_error) and math.isnan(worker_nan.max_error)
+    assert verdict_result.max_error == sum(i % 3 for i in range(130))
+    assert (capped_result.trials, capped_result.max_error) == (cap, 0.25)
 
 
 def test_folds_carry_across_blocks(monkeypatch):
+    """In process, where every trial call is seen."""
+    monkeypatch.setattr(verify, "_forks", lambda: False)
     seen = {"numeric": [], "verdict": [], "capped": []}
 
     def numeric(rng, i):
@@ -164,7 +204,7 @@ def test_folds_carry_across_blocks(monkeypatch):
     assert seen["capped"] == list(range(cap))
 
 
-def test_a_trial_exception_leaves_run_checks_unchanged(monkeypatch):
+def test_a_trial_exception_leaves_run_checks_unchanged(monkeypatch, verify_ways):
     error = KeyError("trial 40")
 
     def trial(rng, i):
@@ -173,9 +213,10 @@ def test_a_trial_exception_leaves_run_checks_unchanged(monkeypatch):
         return 0.0
 
     monkeypatch.setattr(verify, "CHECKS", (Check("raises", 1.0, trial),))
-    with pytest.raises(KeyError) as info:
-        run_checks(trials=130, seed=3)
-    assert info.value is error
+    for way in verify_ways:
+        with pytest.raises(KeyError) as info:
+            run_checks(trials=130, seed=3)
+        assert info.value is error, way
 
 
 def _uniform_draws(rng, *ranges):
