@@ -5,9 +5,12 @@ runs the same physical motion in two frames and reports the worst event
 discrepancy, ``verify`` runs the property suites, and ``legendre``
 evaluates the momentum lift of a configured initial condition.  Rows
 are written a block at a time; memory is bounded by one block per run.
-When a second CPU is usable, ``simulate`` and ``boost`` format and write
-their rows in a forked writer while the command integrates; the writer
-holds one block per run too, and failures and exit codes are the same.
+When a second CPU is usable, ``simulate`` and ``boost`` hand their rows
+to a forked writer while the command integrates.  Each run's block goes
+through a pipe as raw doubles, which the writer formats; when the pipe
+is full, the command formats that block itself and the writer only
+writes it.  Only the writer touches the output, and failures and exit
+codes are the same.
 ``verify`` then folds half of its trial blocks in a forked worker.
 
 Exit codes: 0 success, 1 verification or covariance failure, 2 invalid
@@ -23,11 +26,12 @@ import marshal
 import math
 import os
 import shutil
+import struct
 import sys
 import tempfile
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
-from itertools import chain, islice, starmap
+from itertools import chain, cycle, islice, starmap
 from typing import BinaryIO
 
 from .affine_values import affine_momentum, shell_function
@@ -35,7 +39,7 @@ from .chart import Frame, SpatialCovector, SpatialVector, embed, metric
 from .config import ConfigError, RunConfig, _float, _floats, _positive, load_config
 from .frame_dynamics import Sample, integrate
 from .homogeneous import legendre, mass_shell_residual
-from .verify import _forks, _receive, _send, _worst, max_event_gap, render_report, run_checks
+from .verify import _forks, _worst, max_event_gap, render_report, run_checks
 
 __all__ = ["main"]
 
@@ -43,10 +47,16 @@ _CSV_HEADER = ",".join(("step", *Sample._fields)).encode() + b"\n"
 # A row after its step index: a sample's floats; "%.17g" writes the same
 # bytes as format(v, ".17g").
 _CSV_FIELDS = b",%.17g" * len(Sample._fields) + b"\n"
-# Steps formatted by one "%" and written by one write.  The speed is the
-# same from 32 to 128; the peak memory of boost, which holds a block of
-# each run, is not.
+# Steps formatted by one "%" and written by one write.  A run's block goes
+# to a forked writer as one message, _HEAD.size bytes and 64 a step, which
+# must fit in PIPE_BUF (4,096 on Linux) to go whole or not at all: at most
+# 63 steps.  32 is as fast as 48 or 63, and 16 is 6-10% slower (simulate
+# and boost in process, 2 vCPUs, Python 3.11).
 _BLOCK = 32
+# A message to the forked writer: a block's first row and its size, then
+# that many doubles if it is positive, or as many bytes of rows as its
+# negative if the sender formatted them.  A size of 0 ends the sections.
+_HEAD = struct.Struct("=qq")
 
 # Options whose value is a number and may start with "-".
 _SIGNED_OPTIONS = frozenset({"--boost", "--corrupt-momentum", "--tol"})
@@ -56,28 +66,38 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _write_block(handles: Sequence[BinaryIO], start: int, flats: Sequence[tuple]):
-    """Write rows ``start, ...`` of run i's section, ``flats[i]`` flattened, to ``handles[i]``.
+def _rows(start: int, flat: Sequence[float]) -> bytes:
+    """Rows ``start, ...`` of one run's CSV section, ``flat`` holding their samples' floats.
 
-    The header goes first when ``start`` is 0.  One ``%`` and one write per run.
+    The header goes first when ``start`` is 0.  One ``%`` per block.
     """
-    steps = map(b"%d".__mod__, range(start, start + len(flats[0]) // len(Sample._fields)))
-    fmt = (b"" if start else _CSV_HEADER) + _CSV_FIELDS.join(steps) + _CSV_FIELDS
-    for handle, flat in zip(handles, flats):
-        handle.write(fmt % flat)
+    steps = map(b"%d".__mod__, range(start, start + len(flat) // len(Sample._fields)))
+    return ((b"" if start else _CSV_HEADER) + _CSV_FIELDS.join(steps) + _CSV_FIELDS) % flat
+
+
+def _write_block(handle: BinaryIO, rows: bytes):
+    """Write a block's ``rows`` to an output: only the process that writes calls this."""
+    handle.write(rows)
 
 
 def _writer(handles: Sequence[BinaryIO], blocks: int, errors: int):
     """The forked child: ``_write_block`` each block ``_send`` put into fd ``blocks``.
 
-    Only the end marker ``None`` completes the sections.  The child ends
-    through ``os._exit`` alone, so no exit hook or inherited buffer runs
-    twice; a write error's arguments go back through fd ``errors``.
+    The runs' blocks take turns.  A block that came as floats is formatted
+    here by ``_rows``, one that came as rows is written as it is.  Only the
+    end marker completes the sections.  The child ends through ``os._exit``
+    alone, so no exit hook or inherited buffer runs twice; a write error's
+    arguments go back through fd ``errors``.
     """
     try:
-        with open(blocks, "rb") as pipe:  # at its end, _receive raises EOFError
-            while (block := _receive(pipe)) is not None:
-                _write_block(handles, *block)
+        with open(blocks, "rb") as pipe:
+            for handle in cycle(handles):
+                # At the pipe's end, unpack raises struct.error.
+                start, size = _HEAD.unpack(pipe.read(_HEAD.size))
+                if not size:
+                    break
+                _write_block(handle, pipe.read(-size) if size < 0 else _rows(
+                    start, struct.unpack("=%dd" % size, pipe.read(8 * size))))
         for handle in handles:
             handle.flush()
     except OSError as exc:
@@ -88,16 +108,50 @@ def _writer(handles: Sequence[BinaryIO], blocks: int, errors: int):
         os._exit(1)
 
 
+def _sent(fd: int, message: bytes) -> bool:
+    """Whether the pipe ``fd``, which does not block, took ``message`` at once:
+    a write of at most ``PIPE_BUF`` bytes goes whole or not at all."""
+    try:
+        os.write(fd, message)
+    except BlockingIOError:
+        return False
+    return True
+
+
+def _write_all(fd: int, data: bytes):
+    """Write all of ``data`` to the pipe ``fd``, waiting for room."""
+    os.set_blocking(fd, True)
+    while data:
+        data = data[os.write(fd, data):]
+    os.set_blocking(fd, False)
+
+
+def _send(fd: int, start: int, flats: Sequence[tuple]):
+    """Hand each run's block from row ``start`` to the ``_writer`` reading pipe ``fd``.
+
+    A block goes as floats while the pipe has room for them.  A full pipe
+    means the writer is behind, so the block goes as rows formatted here.
+    """
+    for flat in flats:
+        if not _sent(fd, struct.pack("=qq%dd" % len(flat), start, len(flat), *flat)):
+            rows = _rows(start, flat)
+            _write_all(fd, _HEAD.pack(start, -len(rows)) + rows)
+
+
 @contextlib.contextmanager
 def _block_writer(handles: Sequence[BinaryIO]) -> Iterator:
-    """Yield ``write(start, flats)``, which hands one block to ``_write_block``.
+    """Yield ``write(start, flats)``, which writes one block of each run's rows.
 
-    Where ``_forks`` allows, a forked ``_writer`` formats while the caller
-    goes on, writing to the files ``handles`` hold.  It is reaped before
-    this ends, however it ends; its write error is raised here.
+    Where ``_forks`` allows, a forked ``_writer`` writes them while the
+    caller goes on, to the files ``handles`` hold; only it touches them
+    until it is reaped.  It is reaped before this ends, however it ends;
+    its write error is raised here.
     """
     if not _forks():
-        yield partial(_write_block, handles)
+        def write(start, flats):
+            for handle, flat in zip(handles, flats):
+                _write_block(handle, _rows(start, flat))
+        yield write
         return
     for handle in handles:
         handle.flush()
@@ -107,15 +161,14 @@ def _block_writer(handles: Sequence[BinaryIO]) -> Iterator:
         _writer(handles, blocks_in, errors_out)
     os.close(blocks_in)
     os.close(errors_out)
-    pipe = open(blocks_out, "wb")
+    os.set_blocking(blocks_out, False)
     try:
-        yield lambda start, flats: _send(pipe, (start, flats))
-        _send(pipe, None)
+        yield partial(_send, blocks_out)
+        _write_all(blocks_out, _HEAD.pack(0, 0))
     except BrokenPipeError:
         pass  # the child stopped reading; its status says why
     finally:
-        with contextlib.suppress(OSError):
-            pipe.close()
+        os.close(blocks_out)
         status = os.waitpid(pid, 0)[1]
         with open(errors_in, "rb") as errors:
             error = errors.read()

@@ -7,8 +7,11 @@ stall the rest of the suite.
 
 import collections
 import errno
+import hashlib
 import io
+import itertools
 import os
+import select
 import subprocess
 import sys
 import threading
@@ -19,6 +22,7 @@ import pytest
 from galimech import cli
 from galimech.cli import main
 from galimech.frame_dynamics import Sample
+from test_trajectory_digest import RUNS, _digests
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -121,14 +125,15 @@ def test_a_write_error_is_one_line_either_way(tmp_path, capsys, monkeypatch, way
     stops reading while the command still sends, which must not surface
     as a broken pipe.
     """
-    def full(handles, start, flats):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    monkeypatch.setattr(cli, "_write_block", full)
+    monkeypatch.setattr(cli, "_write_block", _full)
     assert _run(tmp_path, command, text, existing) == (2, True)
     captured = capsys.readouterr()
     assert captured.err == ENOSPC
     assert captured.out == ""
+
+
+def _full(handle, rows):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 def test_a_writer_that_dies_unannounced_is_an_error(tmp_path, capsys, monkeypatch):
@@ -137,6 +142,113 @@ def test_a_writer_that_dies_unannounced_is_an_error(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli, "_write_block", lambda *block: os._exit(9))
     assert _run(tmp_path, SIMULATE, FREE, existing=False) == (2, True)
     assert capsys.readouterr().err == "error: out: CSV writer ended with exit code 9\n"
+
+
+def _waiting(fd, message):
+    """Send ``message`` whatever the pipe's fill, waiting for room."""
+    os.set_blocking(fd, True)
+    os.write(fd, message)
+    os.set_blocking(fd, False)
+    return True
+
+
+# Whether the pipe takes each message in turn, for the command that formats
+# every block, every other one (in boost, the first run's), or none.
+ROOM = {"every-block": (False,), "every-other-block": (False, True), "no-block": (True,)}
+
+
+@pytest.fixture(params=sorted(ROOM), ids=lambda way: f"parent-formats-{way}")
+def split(request, monkeypatch):
+    """A forked writer, with the command formatting the blocks ``ROOM`` says.
+
+    Yields the turns of room and the list of blocks the command formatted so far.
+    """
+    room = ROOM[request.param]
+    turns = itertools.cycle(room)
+    monkeypatch.setattr(cli, "_forks", lambda: True)
+    monkeypatch.setattr(cli, "_sent", lambda fd, message: next(turns) and _waiting(fd, message))
+    formatted, rows = [], cli._rows
+    monkeypatch.setattr(cli, "_rows", lambda *block: formatted.append(1) or rows(*block))
+    yield room, formatted
+
+
+@pytest.mark.parametrize("command, runs", [(SIMULATE, 1), (BOOST, 2)], ids=["simulate", "boost"])
+@pytest.mark.parametrize("text, steps", [(FREE, 10), (LONG, 6400)],
+                         ids=["one-block", "many-blocks"])
+def test_either_side_formats_the_in_process_bytes(tmp_path, monkeypatch, split, command, runs,
+                                                  text, steps):
+    """Blocks formatted by the command reach --out as those the writer formats do."""
+    room, formatted = split
+    assert _run(tmp_path, command, text, existing=False)[0] == 0
+    forked = (tmp_path / "run.csv").read_bytes()
+    messages = runs * -(-(steps + 1) // cli._BLOCK)
+    assert len(formatted) == sum(not room[i % len(room)] for i in range(messages))
+    monkeypatch.setattr(cli, "_forks", lambda: False)
+    assert _run(tmp_path, command, text, existing=False)[0] == 0
+    assert (tmp_path / "run.csv").read_bytes() == forked
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_either_side_formats_the_golden_bytes(tmp_path, split, name):
+    out = tmp_path / name
+    assert main(RUNS[name] + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _digests()[name]
+
+
+@pytest.mark.parametrize("command", [SIMULATE, BOOST], ids=["simulate", "boost"])
+def test_the_command_formats_the_blocks_a_full_pipe_cannot_take(tmp_path, monkeypatch, command):
+    """The writer starts only once the command found the pipe full and formatted a block.
+
+    The command then waits for room to send the rows it formatted.
+    """
+    monkeypatch.setattr(cli, "_forks", lambda: False)
+    assert _run(tmp_path, command, LONG, existing=False)[0] == 0
+    in_process = (tmp_path / "run.csv").read_bytes()
+    parent, (wait, go), started = os.getpid(), os.pipe(), []
+    rows, write = cli._rows, cli._write_block
+
+    def formatted(*block):
+        if os.getpid() == parent:
+            os.write(go, b".")
+        return rows(*block)
+
+    def late(handle, text):
+        if not started:
+            started.append(os.read(wait, 1))
+        write(handle, text)
+
+    monkeypatch.setattr(cli, "_forks", lambda: True)
+    monkeypatch.setattr(cli, "_rows", formatted)
+    monkeypatch.setattr(cli, "_write_block", late)
+    try:
+        assert _run(tmp_path, command, LONG, existing=False)[0] == 0
+        assert (tmp_path / "run.csv").read_bytes() == in_process
+    finally:
+        os.close(wait)
+        os.close(go)
+
+
+@pytest.mark.parametrize("command", [SIMULATE, BOOST], ids=["simulate", "boost"])
+def test_a_write_error_with_formatted_blocks_in_flight(tmp_path, capsys, monkeypatch, command):
+    """The writer fails while the command sends it rows it formatted: one line, exit 2."""
+    monkeypatch.setattr(cli, "_forks", lambda: True)
+    monkeypatch.setattr(cli, "_sent", lambda fd, message: False)
+    monkeypatch.setattr(cli, "_write_block", _full)
+    assert _run(tmp_path, command, LONG, existing=True) == (2, True)
+    assert capsys.readouterr() == ("", ENOSPC)
+
+
+def test_the_largest_message_sent_without_waiting_fits_in_a_pipe(tmp_path, monkeypatch):
+    """A write of at most ``PIPE_BUF`` bytes to a full pipe leaves it as it was."""
+    largest = cli._HEAD.size + 8 * cli._BLOCK * len(Sample._fields)
+    assert largest <= select.PIPE_BUF
+    sizes, sent = [], cli._sent
+    monkeypatch.setattr(cli, "_forks", lambda: True)
+    monkeypatch.setattr(cli, "_sent", lambda fd, message: sizes.append(len(message))
+                        or sent(fd, message))
+    for command in SIMULATE, BOOST:
+        assert _run(tmp_path, command, LONG, existing=False)[0] == 0
+    assert max(sizes) == largest
 
 
 SAMPLES = [Sample(*map(float, range(i, i + 8))) for i in range(3)]
