@@ -11,7 +11,8 @@ through a pipe as raw doubles, which the writer formats; when the pipe
 is full, the command formats that block itself and the writer only
 writes it.  Only the writer touches the output, and failures and exit
 codes are the same.
-``verify`` then folds half of its trial blocks in a forked worker.
+``verify`` then shares its trial blocks with a forked worker, each
+process claiming the next block when it is free.
 
 Exit codes: 0 success, 1 verification or covariance failure, 2 invalid
 input, 3 numeric failure.

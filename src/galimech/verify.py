@@ -10,10 +10,13 @@ gated at zero, report the sum of their disagreement counts.  A NaN error
 always fails its suite.  Trajectory-backed suites cap their case count:
 a thousand integrations would add wall time, not coverage.
 
-When a second CPU is usable, a forked worker folds the odd blocks of
-trials while ``run_checks`` folds the even ones.  A worst error is a
-maximum and verdict counts are integers, so neither depends on the order
-of trials.  If either side fails, the run is repeated in process.
+When a second CPU is usable, ``run_checks`` and a forked worker each
+claim blocks of trials on demand until none are left, so which process
+folds a block varies from run to run; a profile of the parent (such as
+perfbench's ``--trace 1`` suite times) covers only its varying share.
+A worst error is a maximum and verdict counts are integers, so neither
+depends on the order of trials.  If either side fails, the run is
+repeated in process.
 """
 
 from __future__ import annotations
@@ -693,21 +696,33 @@ def _receive(pipe):
     return marshal.loads(pipe.read(int.from_bytes(pipe.read(4), "little")))
 
 
-def _split(fold: Callable[[range], list[float]], blocks: range) -> list | None:
-    """``fold`` of the even ``blocks`` here and of the odd ones in a forked worker, or
-    None if either raised or the worker sent nothing.  The worker ends by ``os._exit``,
-    and is reaped before this returns, however it returns."""
+def _split(fold: Callable[[Iterable[int]], list[float]], blocks: range) -> list | None:
+    """``fold`` of the ``blocks`` this process claims and of those a forked worker
+    claims, or None if either raised or the worker sent nothing.  Before the fork, one
+    write of at most ``PIPE_BUF`` bytes fills a pipe with 2-byte claims, each the
+    ordinal of a run of consecutive blocks; each process reads one claim at a time
+    until the pipe is empty, so neither waits while the other has blocks left.  The
+    worker ends by ``os._exit``, and is reaped before this returns, however it returns."""
     read, write = os.pipe()
-    with open(read, "rb") as pipe, open(write, "wb") as out:
+    claims, fill = os.pipe()
+    with open(read, "rb") as pipe, open(write, "wb") as out, \
+            open(claims, "rb", buffering=0) as claim, open(fill, "wb", buffering=0) as filler:
+        run = -(-len(blocks) // (os.fpathconf(fill, "PC_PIPE_BUF") // 2))
+        filler.write(b"".join(map(partial(int.to_bytes, length=2, byteorder="little"),
+                                  range(-(-len(blocks) // run)))))
+        filler.close()  # else the last claim of each process never ends
+        # A read of the raw pipe takes one whole claim: no process folds a run twice.
+        mine = chain.from_iterable(blocks[k * run:k * run + run] for k in map(
+            partial(int.from_bytes, byteorder="little"), iter(partial(claim.read, 2), b"")))
         if (pid := os.fork()) == 0:
             try:
-                _send(out, fold(blocks[1::2]))
+                _send(out, fold(mine))
                 out.close()
             finally:
                 os._exit(0)
         out.close()  # else the pipe of a worker that sends nothing never ends
         try:
-            return [fold(blocks[::2]), _receive(pipe)]
+            return [fold(mine), _receive(pipe)]
         except Exception:
             return None
         finally:
@@ -737,7 +752,7 @@ def run_checks(trials: int = 1000, seed: int = 42,
     runs = [(check, trials if check.max_trials is None else min(trials, check.max_trials),
              sum if check.tolerance == 0.0 else _worst) for check in selected]
 
-    def fold(blocks: range) -> list[float]:
+    def fold(blocks: Iterable[int]) -> list[float]:
         errors, gen = [0.0] * len(runs), random.Random()
         # Each trial's stream is seeded once, ``_BLOCK`` trials at a time; folds
         # carry over blocks, and ``_worst`` returns a carried NaN untouched.

@@ -2,6 +2,7 @@
 
 import os
 import signal
+import time
 
 import pytest
 
@@ -24,6 +25,40 @@ def csv_ways(monkeypatch):
 def verify_ways(monkeypatch):
     """The ways ``run_checks`` can fold its trial blocks: each makes it fold that way."""
     return _ways(monkeypatch, verify)
+
+
+class Handshake:
+    """Steers trials by process while ``run_checks`` forks: the worker's first trial
+    calls ``mark``, which the parent's ``wait`` polls for.  A parent trial that waits
+    holds one claim, so the worker has claimed another, whoever claimed first."""
+
+    def __init__(self, path):
+        self.path, self.parent = path, os.getpid()
+
+    def in_worker(self) -> bool:
+        return os.getpid() != self.parent
+
+    def mark(self, text: str = "") -> None:
+        written = self.path.with_name(f"{self.path.name}.{os.getpid()}")
+        written.write_text(text)
+        os.replace(written, self.path)  # whole, or not yet there
+
+    def wait(self) -> str:
+        while not self.path.exists():
+            time.sleep(0.001)
+        return self.path.read_text()
+
+    def meet(self) -> None:
+        """``mark`` in the worker, ``wait`` in the parent."""
+        if self.in_worker():
+            self.mark()
+        else:
+            self.wait()
+
+
+@pytest.fixture
+def handshake(tmp_path):
+    return Handshake(tmp_path / "worker-started")
 
 
 @pytest.fixture

@@ -149,13 +149,23 @@ def test_both_ways_fold_the_same_bits(verify_ways, trials):
     assert {bits[3] for bits in got["forked"]} == {(1e-3).hex()}
 
 
-def test_folds_carry_across_forked_blocks(monkeypatch):
+@pytest.mark.usefixtures("no_child_left")
+def test_folds_carry_across_forked_blocks(monkeypatch, handshake):
     """The forked way: a NaN on either side stays NaN, counts sum exactly, a cap holds.
 
-    The worker's trial calls stay in the worker, so only results are seen.
+    Each side's NaN is its first trial of that suite; the worker's trial calls stay
+    in the worker, so only results are seen.
     """
-    def numeric(at):
-        return lambda rng, i: math.nan if i == at else 0.5
+    nans = set()  # each process has its own copy after the fork
+
+    def numeric(in_worker):
+        def trial(rng, i):
+            handshake.meet()
+            if handshake.in_worker() == in_worker and in_worker not in nans:
+                nans.add(in_worker)
+                return math.nan
+            return 0.5
+        return trial
 
     def capped(rng, i):
         return 0.25 * (i == verify._BLOCK + 1)
@@ -163,7 +173,7 @@ def test_folds_carry_across_forked_blocks(monkeypatch):
     cap = verify._BLOCK + 4
     monkeypatch.setattr(verify, "_forks", lambda: True)
     monkeypatch.setattr(verify, "CHECKS", (
-        Check("parent-nan", 1.0, numeric(3)), Check("worker-nan", 1.0, numeric(11)),
+        Check("parent-nan", 1.0, numeric(False)), Check("worker-nan", 1.0, numeric(True)),
         Check("verdict", 0.0, lambda rng, i: float(i % 3)),
         Check("capped", 1.0, capped, max_trials=cap)))
     parent_nan, worker_nan, verdict_result, capped_result = run_checks(trials=130, seed=5)
