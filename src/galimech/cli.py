@@ -5,14 +5,10 @@ runs the same physical motion in two frames and reports the worst event
 discrepancy, ``verify`` runs the property suites, and ``legendre``
 evaluates the momentum lift of a configured initial condition.  Rows
 are written a block at a time; memory is bounded by one block per run.
-When a second CPU is usable, ``simulate`` and ``boost`` hand their rows
-to a forked writer while the command integrates.  Each run's block goes
-through a pipe as raw doubles, which the writer formats; when the pipe
-is full, the command formats that block itself and the writer only
-writes it.  Only the writer touches the output, and failures and exit
-codes are the same.
-``verify`` then shares its trial blocks with a forked worker, each
-process claiming the next block when it is free.
+Where ``_child._forks`` allows, ``simulate`` and ``boost`` hand their
+rows to a forked writer while the command integrates: ``_child`` states
+the rules of its lifetime, and ``_send`` how each block reaches it.  Only
+the writer touches the output; failures and exit codes are the same.
 
 Exit codes: 0 success, 1 verification or covariance failure, 2 invalid
 input, 3 numeric failure.
@@ -23,7 +19,6 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
-import marshal
 import math
 import os
 import shutil
@@ -36,11 +31,12 @@ from itertools import chain, cycle, islice, starmap
 from typing import BinaryIO
 
 from .affine_values import affine_momentum, shell_function
+from ._child import _forks, forked
 from .chart import Frame, SpatialCovector, SpatialVector, embed, metric
 from .config import ConfigError, RunConfig, _float, _floats, _positive, load_config
 from .frame_dynamics import Sample, integrate
 from .homogeneous import legendre, mass_shell_residual
-from .verify import _forks, _worst, max_event_gap, render_report, run_checks
+from .verify import _worst, max_event_gap, render_report, run_checks
 
 __all__ = ["main"]
 
@@ -81,32 +77,22 @@ def _write_block(handle: BinaryIO, rows: bytes):
     handle.write(rows)
 
 
-def _writer(handles: Sequence[BinaryIO], blocks: int, errors: int):
-    """The forked child: ``_write_block`` each block ``_send`` put into fd ``blocks``.
-
-    The runs' blocks take turns.  A block that came as floats is formatted
-    here by ``_rows``, one that came as rows is written as it is.  Only the
-    end marker completes the sections.  The child ends through ``os._exit``
-    alone, so no exit hook or inherited buffer runs twice; a write error's
-    arguments go back through fd ``errors``.
-    """
+def _writer(handles: Sequence[BinaryIO], pipe: BinaryIO, out: BinaryIO) -> tuple | None:
+    """The forked child's body: ``_write_block`` each block ``_send`` put into
+    ``pipe``, the runs' blocks taking turns.  Its message is None once the
+    handles are flushed, or a write error's arguments."""
+    out.close()  # the command's end of the pipe: else it never ends
     try:
-        with open(blocks, "rb") as pipe:
-            for handle in cycle(handles):
-                # At the pipe's end, unpack raises struct.error.
-                start, size = _HEAD.unpack(pipe.read(_HEAD.size))
-                if not size:
-                    break
-                _write_block(handle, pipe.read(-size) if size < 0 else _rows(
-                    start, struct.unpack("=%dd" % size, pipe.read(8 * size))))
+        for handle in cycle(handles):
+            start, size = _HEAD.unpack(pipe.read(_HEAD.size))
+            if not size:
+                break
+            _write_block(handle, pipe.read(-size) if size < 0 else _rows(
+                start, struct.unpack("=%dd" % size, pipe.read(8 * size))))
         for handle in handles:
             handle.flush()
     except OSError as exc:
-        os.write(errors, marshal.dumps(exc.args))
-    else:
-        os._exit(0)
-    finally:
-        os._exit(1)
+        return exc.args
 
 
 def _sent(fd: int, message: bytes) -> bool:
@@ -143,10 +129,9 @@ def _send(fd: int, start: int, flats: Sequence[tuple]):
 def _block_writer(handles: Sequence[BinaryIO]) -> Iterator:
     """Yield ``write(start, flats)``, which writes one block of each run's rows.
 
-    Where ``_forks`` allows, a forked ``_writer`` writes them while the
+    Where ``_forks`` allows, a ``forked`` ``_writer`` writes them while the
     caller goes on, to the files ``handles`` hold; only it touches them
-    until it is reaped.  It is reaped before this ends, however it ends;
-    its write error is raised here.
+    until it is reaped.  Its write error is raised here.
     """
     if not _forks():
         def write(start, flats):
@@ -156,26 +141,19 @@ def _block_writer(handles: Sequence[BinaryIO]) -> Iterator:
         return
     for handle in handles:
         handle.flush()
-    (blocks_in, blocks_out), (errors_in, errors_out) = os.pipe(), os.pipe()
-    if (pid := os.fork()) == 0:
-        os.close(blocks_out)  # else the child's pipe never ends
-        _writer(handles, blocks_in, errors_out)
-    os.close(blocks_in)
-    os.close(errors_out)
-    os.set_blocking(blocks_out, False)
-    try:
-        yield partial(_send, blocks_out)
-        _write_all(blocks_out, _HEAD.pack(0, 0))
-    except BrokenPipeError:
-        pass  # the child stopped reading; its status says why
-    finally:
-        os.close(blocks_out)
-        status = os.waitpid(pid, 0)[1]
-        with open(errors_in, "rb") as errors:
-            error = errors.read()
-    if status:
-        raise OSError(*marshal.loads(error) if error else (
-            f"out: CSV writer ended with exit code {os.waitstatus_to_exitcode(status)}",))
+    read, fd = os.pipe()
+    with open(read, "rb") as blocks, open(fd, "wb") as out, \
+            forked(partial(_writer, handles, blocks, out)) as receive:
+        blocks.close()  # else a full pipe to a writer that stopped waits forever
+        os.set_blocking(fd, False)
+        with contextlib.suppress(BrokenPipeError):  # the writer's message says why
+            yield partial(_send, fd)
+            _write_all(fd, _HEAD.pack(0, 0))
+        error = ("out: CSV writer ended without a result",)
+        with contextlib.suppress(EOFError):
+            error = receive()
+    if error is not None:
+        raise OSError(*error)
 
 
 def _csv_sections(runs: Sequence[Iterable[Sample]], write: Callable

@@ -10,22 +10,20 @@ gated at zero, report the sum of their disagreement counts.  A NaN error
 always fails its suite.  Trajectory-backed suites cap their case count:
 a thousand integrations would add wall time, not coverage.
 
-When a second CPU is usable, ``run_checks`` and a forked worker each
-claim blocks of trials on demand until none are left, so which process
-folds a block varies from run to run; a profile of the parent (such as
-perfbench's ``--trace 1`` suite times) covers only its varying share.
-A worst error is a maximum and verdict counts are integers, so neither
-depends on the order of trials.  If either side fails, the run is
-repeated in process.
+Where ``_child._forks`` allows, ``run_checks`` and a worker forked under
+the rules ``_child`` states each claim blocks of trials on demand until
+none are left, so which process folds a block varies from run to run; a
+profile of the parent (such as perfbench's ``--trace 1`` suite times)
+covers only its varying share.  A worst error is a maximum and verdict
+counts are integers, so neither depends on the order of trials.  If
+either side fails, the run is repeated in process.
 """
 
 from __future__ import annotations
 
-import marshal
+import contextlib
 import os
 import random
-import signal
-import threading
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -35,6 +33,7 @@ from typing import Callable, Iterable, Iterator
 from . import affine_values as av
 from . import frame_dynamics as fd
 from . import homogeneous as hom
+from ._child import _forks, forked
 from .chart import (
     Event,
     Frame,
@@ -679,34 +678,14 @@ CHECKS: tuple[Check, ...] = (
 _BLOCK = 8
 
 
-def _forks() -> bool:
-    """Whether a forked process can run beside this one: on one usable CPU
-    it only adds work, and a fork copies only this thread."""
-    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0)
-    return hasattr(os, "fork") and len(cpus) > 1 and threading.active_count() == 1
-
-
-def _send(pipe, message):
-    data = marshal.dumps(message)
-    pipe.write(len(data).to_bytes(4, "little") + data)
-
-
-def _receive(pipe):
-    """The next message ``_send`` wrote to ``pipe``; at its end, ``EOFError``."""
-    return marshal.loads(pipe.read(int.from_bytes(pipe.read(4), "little")))
-
-
 def _split(fold: Callable[[Iterable[int]], list[float]], blocks: range) -> list | None:
-    """``fold`` of the ``blocks`` this process claims and of those a forked worker
+    """``fold`` of the ``blocks`` this process claims and of those a ``forked`` worker
     claims, or None if either raised or the worker sent nothing.  Before the fork, one
     write of at most ``PIPE_BUF`` bytes fills a pipe with 2-byte claims, each the
     ordinal of a run of consecutive blocks; each process reads one claim at a time
-    until the pipe is empty, so neither waits while the other has blocks left.  The
-    worker ends by ``os._exit``, and is reaped before this returns, however it returns."""
-    read, write = os.pipe()
+    until the pipe is empty, so neither waits while the other has blocks left."""
     claims, fill = os.pipe()
-    with open(read, "rb") as pipe, open(write, "wb") as out, \
-            open(claims, "rb", buffering=0) as claim, open(fill, "wb", buffering=0) as filler:
+    with open(claims, "rb", buffering=0) as claim, open(fill, "wb", buffering=0) as filler:
         run = -(-len(blocks) // (os.fpathconf(fill, "PC_PIPE_BUF") // 2))
         filler.write(b"".join(map(partial(int.to_bytes, length=2, byteorder="little"),
                                   range(-(-len(blocks) // run)))))
@@ -714,20 +693,8 @@ def _split(fold: Callable[[Iterable[int]], list[float]], blocks: range) -> list 
         # A read of the raw pipe takes one whole claim: no process folds a run twice.
         mine = chain.from_iterable(blocks[k * run:k * run + run] for k in map(
             partial(int.from_bytes, byteorder="little"), iter(partial(claim.read, 2), b"")))
-        if (pid := os.fork()) == 0:
-            try:
-                _send(out, fold(mine))
-                out.close()
-            finally:
-                os._exit(0)
-        out.close()  # else the pipe of a worker that sends nothing never ends
-        try:
-            return [fold(mine), _receive(pipe)]
-        except Exception:
-            return None
-        finally:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        with forked(partial(fold, mine)) as receive, contextlib.suppress(Exception):
+            return [fold(mine), receive()]
 
 
 def run_checks(trials: int = 1000, seed: int = 42,

@@ -11,20 +11,16 @@ whatever the machine, unless it says otherwise.
 
 import dataclasses
 import os
-import subprocess
-import sys
 import time
 from itertools import chain
-from pathlib import Path
 
 import pytest
 
-from galimech import verify
-from galimech.verify import Check, render_report, run_checks
+from galimech import _child, verify
+from galimech.verify import Check, run_checks
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 B = verify._BLOCK
-FORKS = verify._forks
+FORKS = _child._forks
 
 pytestmark = pytest.mark.usefixtures("no_child_left")
 
@@ -185,7 +181,7 @@ def test_a_worker_that_sends_nothing_gives_the_in_process_results(monkeypatch):
     monkeypatch.setattr(verify, "_forks", lambda: False)
     want = run_checks(trials=3 * B, seed=5, names=names)
     monkeypatch.setattr(verify, "_forks", lambda: True)
-    monkeypatch.setattr(verify, "_send", lambda pipe, message: os._exit(0))
+    monkeypatch.setattr(_child, "_send", lambda pipe, message: os._exit(0))
     got = run_checks(trials=3 * B, seed=5, names=names)
     assert _bits(got) == _bits(want)
 
@@ -243,21 +239,3 @@ def test_a_process_pinned_to_one_cpu_folds_in_process(monkeypatch):
     finally:
         os.sched_setaffinity(0, cpus)
     assert got == want
-
-
-def test_verify_prints_once_and_runs_no_exit_hook_twice():
-    """The worker ends by ``os._exit``: the report, stdout's buffer and the hook appear once."""
-    script = (
-        "import atexit, sys\n"
-        "from galimech import cli, verify\n"
-        "verify._forks = lambda: True\n"
-        "atexit.register(print, 'exit hook')\n"
-        "sys.stdout.write('buffered\\n')\n"
-        f"code = cli.main(['verify', '--trials', '{2 * B + 1}'])\n"
-        "print('exit code', code)\n")
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=50)
-    report = render_report(run_checks(trials=2 * B + 1))
-    assert (done.returncode, done.stdout, done.stderr) == (
-        0, "".join(line + "\n" for line in ["buffered", *report, "exit code 0", "exit hook"]),
-        "")

@@ -12,19 +12,14 @@ import io
 import itertools
 import os
 import select
-import subprocess
-import sys
 import threading
-from pathlib import Path
 
 import pytest
 
-from galimech import cli
+from galimech import _child, cli, verify
 from galimech.cli import main
 from galimech.frame_dynamics import Sample
 from test_trajectory_digest import RUNS, _digests
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 FREE = """\
 mass = 1.0
@@ -141,7 +136,7 @@ def test_a_writer_that_dies_unannounced_is_an_error(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli, "_forks", lambda: True)
     monkeypatch.setattr(cli, "_write_block", lambda *block: os._exit(9))
     assert _run(tmp_path, SIMULATE, FREE, existing=False) == (2, True)
-    assert capsys.readouterr().err == "error: out: CSV writer ended with exit code 9\n"
+    assert capsys.readouterr().err == "error: out: CSV writer ended without a result\n"
 
 
 def _waiting(fd, message):
@@ -228,6 +223,19 @@ def test_the_command_formats_the_blocks_a_full_pipe_cannot_take(tmp_path, monkey
         os.close(go)
 
 
+def test_a_wait_for_room_leaves_the_pipe_not_blocking():
+    """Once ``_write_all`` has sent what it waited for, a full pipe is again found
+    full at once, so the command formats the next block rather than wait."""
+    read, write = os.pipe()
+    try:
+        os.set_blocking(write, False)
+        cli._write_all(write, b".")
+        assert not os.get_blocking(write)
+    finally:
+        os.close(read)
+        os.close(write)
+
+
 @pytest.mark.parametrize("command", [SIMULATE, BOOST], ids=["simulate", "boost"])
 def test_a_write_error_with_formatted_blocks_in_flight(tmp_path, capsys, monkeypatch, command):
     """The writer fails while the command sends it rows it formatted: one line, exit 2."""
@@ -275,23 +283,25 @@ def test_in_memory_handles_are_written_in_process(monkeypatch):
 
 
 def test_the_writer_forks_only_where_it_can_run_beside(monkeypatch):
-    """A second usable CPU and no other thread; else the command writes."""
+    """A second usable CPU and no other thread; else the command writes.  The predicate
+    is the one ``verify`` shares."""
+    assert cli._forks is verify._forks is _child._forks
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert cli._forks()
+    assert _child._forks()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
-    assert not cli._forks()
+    assert not _child._forks()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     done = threading.Event()
     other = threading.Thread(target=done.wait)
     other.start()
     try:
-        assert not cli._forks()
+        assert not _child._forks()
     finally:
         done.set()
         other.join(timeout=10)
     assert not other.is_alive()
     monkeypatch.delattr(os, "fork")
-    assert not cli._forks()
+    assert not _child._forks()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
@@ -302,22 +312,3 @@ def test_a_process_pinned_to_one_cpu_writes_in_process():
         assert not cli._forks()
     finally:
         os.sched_setaffinity(0, cpus)
-
-
-def test_the_writer_runs_no_exit_hook_and_flushes_no_inherited_buffer(tmp_path):
-    """The forked writer ends by ``os._exit``: stdout's buffer and the hook appear once."""
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(FREE)
-    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]
-    script = (
-        "import atexit, sys\n"
-        "from galimech import cli\n"
-        "cli._forks = lambda: True\n"
-        "atexit.register(print, 'exit hook')\n"
-        "sys.stdout.write('buffered\\n')\n"
-        f"code = cli.main({argv!r})\n"
-        "print('exit code', code)\n")
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=50)
-    assert (done.returncode, done.stdout, done.stderr) == (
-        0, "buffered\nexit code 0\nexit hook\n", "")
