@@ -2,11 +2,11 @@
 
 Everything lives in one global chart: a reference origin event, an
 orthonormal spatial basis, the rest frame and the time form that reads
-off elapsed time.  Four-component values are frozen slots dataclasses,
-built by the hundred thousand in ``verify``, so ``_frozen`` compiles
-each ``__init__`` to set the slots directly.  Every operation is a pure
-function, so values can be shared freely, and the four linear types get
-add, subtract, negate, scale and ``components`` compiled by ``_linear``.
+off elapsed time.  ``_frozen`` builds every frozen type in ``galimech``: a
+slots dataclass whose ``__init__`` sets the slots directly, since
+``verify`` builds values by the hundred thousand.  Every operation is a
+pure function, so values can be shared freely, and the four linear types
+get add, subtract, negate, scale and ``components`` compiled by ``_linear``.
 
 The metric is Euclidean with identity components in this chart, which
 makes ``metric``/``metric_inv`` look like renames.  They are kept as
@@ -46,13 +46,13 @@ _FRAME_TOL = 1e-12
 
 
 def _frozen(cls, methods=lambda slots: ""):
-    """``dataclass(frozen=True, slots=True)`` with a compiled ``__init__``.
+    """A frozen slots dataclass with a compiled ``__init__``; every frozen type is one.
 
-    The dataclass ``__init__`` of a frozen class looks up
-    ``object.__setattr__`` for every field, so none is generated; this one
-    calls each slot's setter, bound once, at about half the cost, with the
-    fields' defaults and the ``__post_init__`` call.  ``methods(slots)`` adds
-    class-body source; ``slots(template)`` joins the template filled in per field.
+    A frozen dataclass's ``__init__`` looks up ``object.__setattr__`` per
+    field, so none is generated; this one calls each slot's setter, bound
+    once, at about half the cost, sets defaults and calls ``__post_init__``,
+    as copies and pickles do.  ``methods(slots)`` adds class-body source;
+    ``slots(template)`` joins the template filled in per field.
     """
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
     names = [f.name for f in fields(cls)]
@@ -64,13 +64,14 @@ def _frozen(cls, methods=lambda slots: ""):
                  **{f"_set_{name}": getattr(cls, name).__set__ for name in names}}
     init = (f" def __init__(self, {slots('{0}')}):\n"
             + "".join(f"  _set_{name}(self, {name})\n" for name in names)
-            + ("  self.__post_init__()\n" if hasattr(cls, "__post_init__") else "")
+            + ("  self.__post_init__()\n" if hasattr(cls, "__post_init__") else "  pass\n")
             + " __init__.__defaults__ = _defaults\n")
     # A class statement, so that each method gets its qualified name.
     exec(f"class {cls.__name__}:\n{init}{methods(slots)}", namespace)
     for name, method in vars(namespace[cls.__name__]).items():
         if callable(method):
             setattr(cls, name, method)
+    cls.__reduce__ = lambda self: (type(self), tuple(map(self.__getattribute__, names)))
     return cls
 
 

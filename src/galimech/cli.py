@@ -30,8 +30,8 @@ from functools import partial
 from itertools import chain, cycle, islice, starmap
 from typing import BinaryIO
 
+from . import _child
 from .affine_values import affine_momentum, shell_function
-from ._child import _forks, forked
 from .chart import Frame, SpatialCovector, SpatialVector, embed, metric
 from .config import ConfigError, RunConfig, _float, _floats, _positive, load_config
 from .frame_dynamics import Sample, integrate
@@ -46,9 +46,9 @@ _CSV_HEADER = ",".join(("step", *Sample._fields)).encode() + b"\n"
 _CSV_FIELDS = b",%.17g" * len(Sample._fields) + b"\n"
 # Steps formatted by one "%" and written by one write.  A run's block goes
 # to a forked writer as one message, _HEAD.size bytes and 64 a step, which
-# must fit in PIPE_BUF (4,096 on Linux) to go whole or not at all: at most
-# 63 steps.  32 is as fast as 48 or 63, and 16 is 6-10% slower (simulate
-# and boost in process, 2 vCPUs, Python 3.11).
+# must fit in PIPE_BUF (4,096 on Linux; see _sent) to go whole or not at
+# all: at most 63 steps.  32 is as fast as 48 or 63, and 16 is 6-10%
+# slower (simulate and boost in process, 2 vCPUs, Python 3.11).
 _BLOCK = 32
 # A message to the forked writer: a block's first row and its size, then
 # that many doubles if it is positive, or as many bytes of rows as its
@@ -96,12 +96,14 @@ def _writer(handles: Sequence[BinaryIO], pipe: BinaryIO, out: BinaryIO) -> tuple
 
 
 def _sent(fd: int, message: bytes) -> bool:
-    """Whether the pipe ``fd``, which does not block, took ``message`` at once:
-    a write of at most ``PIPE_BUF`` bytes goes whole or not at all."""
+    """Whether the pipe ``fd``, which does not block, took ``message`` at once: all
+    or nothing up to ``PIPE_BUF`` bytes (512 on macOS), else the rest waits for room."""
     try:
-        os.write(fd, message)
+        sent = os.write(fd, message)
     except BlockingIOError:
         return False
+    if sent < len(message):
+        _write_all(fd, message[sent:])
     return True
 
 
@@ -129,11 +131,11 @@ def _send(fd: int, start: int, flats: Sequence[tuple]):
 def _block_writer(handles: Sequence[BinaryIO]) -> Iterator:
     """Yield ``write(start, flats)``, which writes one block of each run's rows.
 
-    Where ``_forks`` allows, a ``forked`` ``_writer`` writes them while the
-    caller goes on, to the files ``handles`` hold; only it touches them
-    until it is reaped.  Its write error is raised here.
+    Where ``_child._forks`` allows, a ``forked`` ``_writer`` writes them
+    while the caller goes on, to the files ``handles`` hold; only it
+    touches them until it is reaped.  Its write error is raised here.
     """
-    if not _forks():
+    if not _child._forks():
         def write(start, flats):
             for handle, flat in zip(handles, flats):
                 _write_block(handle, _rows(start, flat))
@@ -143,7 +145,7 @@ def _block_writer(handles: Sequence[BinaryIO]) -> Iterator:
         handle.flush()
     read, fd = os.pipe()
     with open(read, "rb") as blocks, open(fd, "wb") as out, \
-            forked(partial(_writer, handles, blocks, out)) as receive:
+            _child.forked(partial(_writer, handles, blocks, out)) as receive:
         blocks.close()  # else a full pipe to a writer that stopped waits forever
         os.set_blocking(fd, False)
         with contextlib.suppress(BrokenPipeError):  # the writer's message says why

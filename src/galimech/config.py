@@ -9,10 +9,9 @@ typo cannot silently change a run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .chart import (REST_FRAME, Event, FourCovector, Frame, SpatialCovector, SpatialVector,
-                    metric)
+                    _frozen, metric)
 from .potentials import HarmonicPotential, Potential, UniformPotential, ZeroPotential
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
@@ -22,8 +21,10 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-@dataclass(frozen=True)
+@_frozen
 class RunConfig:
+    """A parsed config; ``v0``, when given, stays beside the ``p0`` derived from it."""
+
     mass: float
     potential: Potential
     frame: Frame
@@ -32,8 +33,7 @@ class RunConfig:
     dt: float
     steps: int
     tol: float
-    # Kept alongside the derived p0: some commands report in velocity terms.
-    v0: SpatialVector | None = None
+    v0: SpatialVector | None = None  # some commands report in velocity terms
 
 
 def _floats(key: str, raw: str, n: int) -> tuple[float, ...]:

@@ -10,16 +10,15 @@ A kind is defined once, on chart coordinates: ``value_at(t, x, y, z)`` and
 the typed ``value`` and ``differential`` from them; a subclass redefining
 either is a ``TypeError``, so a force can never split from its value.  An
 observer's force is ``restrict(differential(x))`` (up to sign).  A built-in
-kind writes its two methods once, as templates that ``_kind`` compiles and
-``frame_dynamics`` inlines into its RK4 kernel.
+kind writes its two methods once, as templates that ``_kind`` compiles
+through ``chart._frozen`` and ``frame_dynamics`` inlines into its RK4 kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .chart import ORIGIN, Event, FourCovector
+from .chart import ORIGIN, Event, FourCovector, _frozen
 
 __all__ = ["Potential", "ZeroPotential", "UniformPotential", "HarmonicPotential"]
 
@@ -55,26 +54,23 @@ class Potential:
 
 
 def _kind(constants: str, shared: str, value: str, *differential: str):
-    """Class decorator: ``value_at`` and ``differential_at`` from templates.
+    """``_frozen``, plus ``value_at`` and ``differential_at`` compiled from templates.
 
     Source in ``{t}``, ``{x}``, ``{y}``, ``{z}``: ``constants`` reads the stored
     floats off ``self``, ``shared`` what the value and differential both read.
     """
     def decorate(cls):
         head = "".join(f"  {line}\n" for line in (constants, shared) if line)
-        source = (f"class {cls.__name__}:\n def value_at(self, t, x, y, z):\n{head}"
-                  f"  return {value}\n def differential_at(self, t, x, y, z):\n{head}"
-                  f"  return {', '.join(differential)}\n")
-        exec(source.format(t="t", x="x", y="y", z="z"), globals(), namespace := {})
-        methods = vars(namespace[cls.__name__])
-        cls.value_at, cls.differential_at = methods["value_at"], methods["differential_at"]
+        cls = _frozen(cls, lambda slots: (
+            f" def value_at(self, t, x, y, z):\n{head}  return {value}\n"
+            f" def differential_at(self, t, x, y, z):\n{head}"
+            f"  return {', '.join(differential)}\n").format(t="t", x="x", y="y", z="z"))
         TEMPLATES[cls.value_at, cls.differential_at] = constants, shared, value, differential
         return cls
     return decorate
 
 
 @_kind("", "", "0.0", "0.0", "0.0", "0.0", "0.0")
-@dataclass(frozen=True)
 class ZeroPotential(Potential):
     """Free particle."""
 
@@ -82,7 +78,6 @@ class ZeroPotential(Potential):
 # The pairing with the displacement from ORIGIN, whose coordinates are all zero.
 @_kind("kt, kx, ky, kz = self._constants", "",
        "kt * {t} + kx * {x} + ky * {y} + kz * {z}", "kt", "kx", "ky", "kz")
-@dataclass(frozen=True)
 class UniformPotential(Potential):
     """Affine potential with constant slope covector.
 
@@ -100,7 +95,6 @@ class UniformPotential(Potential):
        "drift = ({t} - ct) * 0.0; "
        "sx, sy, sz = {x} - cx - drift, {y} - cy - drift, {z} - cz - drift",
        "0.5 * k * (sx * sx + sy * sy + sz * sz)", "0.0", "k * sx", "k * sy", "k * sz")
-@dataclass(frozen=True)
 class HarmonicPotential(Potential):
     """Isotropic spring about a center event, static in the rest chart.
 

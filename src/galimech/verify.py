@@ -24,16 +24,15 @@ from __future__ import annotations
 import contextlib
 import os
 import random
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from operator import sub
 from typing import Callable, Iterable, Iterator
 
+from . import _child
 from . import affine_values as av
 from . import frame_dynamics as fd
 from . import homogeneous as hom
-from ._child import _forks, forked
 from .chart import (
     Event,
     Frame,
@@ -44,6 +43,7 @@ from .chart import (
     SpatialCovector,
     SpatialVector,
     TIME_FORM,
+    _frozen,
     cometric,
     dual_lift,
     embed,
@@ -612,7 +612,7 @@ def _check_differential_lift(rng: random.Random, i: int) -> float:
 # ---------------------------------------------------------------------------
 # registry
 
-@dataclass(frozen=True)
+@_frozen
 class Check:
     """One suite: ``trial(rng, i)`` is the error of trial ``i``, drawn from ``rng``."""
 
@@ -622,8 +622,10 @@ class Check:
     max_trials: int | None = None
 
 
-@dataclass(frozen=True)
+@_frozen
 class CheckResult:
+    """One suite's worst error over ``trials``, against its ``tolerance``."""
+
     name: str
     trials: int
     max_error: float
@@ -693,7 +695,7 @@ def _split(fold: Callable[[Iterable[int]], list[float]], blocks: range) -> list 
         # A read of the raw pipe takes one whole claim: no process folds a run twice.
         mine = chain.from_iterable(blocks[k * run:k * run + run] for k in map(
             partial(int.from_bytes, byteorder="little"), iter(partial(claim.read, 2), b"")))
-        with forked(partial(fold, mine)) as receive, contextlib.suppress(Exception):
+        with _child.forked(partial(fold, mine)) as receive, contextlib.suppress(Exception):
             return [fold(mine), receive()]
 
 
@@ -730,7 +732,7 @@ def run_checks(trials: int = 1000, seed: int = 42,
                 errors[k] = f(chain((errors[k],), map(check.trial, replays, range(start, n))))
         return errors
     blocks = range(0, trials, _BLOCK)
-    halves = len(blocks) > 1 and _forks() and _split(fold, blocks)
+    halves = len(blocks) > 1 and _child._forks() and _split(fold, blocks)
     errors = ([f(pair) for (_, _, f), pair in zip(runs, zip(*halves))] if halves
               else fold(blocks))
     return [CheckResult(check.name, n, error, check.tolerance if tolerance is None

@@ -6,25 +6,20 @@ import time
 
 import pytest
 
-from galimech import cli, verify
+from galimech import _child
 
 
-def _ways(monkeypatch, module):
+def _ways(monkeypatch):
     for way in ("forked", "in-process"):
-        monkeypatch.setattr(module, "_forks", lambda fork=way == "forked": fork)
+        monkeypatch.setattr(_child, "_forks", lambda fork=way == "forked": fork)
         yield way
 
 
 @pytest.fixture
-def csv_ways(monkeypatch):
-    """The ways the CLI can write its CSV: each makes it write that way, on any machine."""
-    return _ways(monkeypatch, cli)
-
-
-@pytest.fixture
-def verify_ways(monkeypatch):
-    """The ways ``run_checks`` can fold its trial blocks: each makes it fold that way."""
-    return _ways(monkeypatch, verify)
+def ways(monkeypatch):
+    """The ways a command can run, on any machine: each makes ``simulate`` and
+    ``boost`` write their CSV, and ``run_checks`` fold its trial blocks, that way."""
+    return _ways(monkeypatch)
 
 
 class Handshake:

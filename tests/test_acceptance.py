@@ -128,8 +128,8 @@ def _exact(results):
     return [f"{r.name} {r.trials} {r.max_error.hex()}" for r in results]
 
 
-def test_full_suite_fits_the_time_budget(capsys, reported, verify_ways):
-    for way in verify_ways:
+def test_full_suite_fits_the_time_budget(capsys, reported, ways):
+    for way in ways:
         start = time.perf_counter()
         assert main(["verify"]) == 0
         elapsed = time.perf_counter() - start
@@ -141,9 +141,9 @@ def test_full_suite_fits_the_time_budget(capsys, reported, verify_ways):
 
 
 @pytest.mark.parametrize("seed", [7, 2024])
-def test_verify_report_is_pinned_at_other_seeds(capsys, reported, verify_ways, seed):
+def test_verify_report_is_pinned_at_other_seeds(capsys, reported, ways, seed):
     # The same report at seeds whose trials differ from the published one.
-    for way in verify_ways:
+    for way in ways:
         assert main(["verify", "--seed", str(seed)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines == (DATA / f"verify_seed{seed}.txt").read_text(

@@ -20,14 +20,13 @@ from galimech import _child, verify
 from galimech.verify import Check, run_checks
 
 B = verify._BLOCK
-FORKS = _child._forks
 
 pytestmark = pytest.mark.usefixtures("no_child_left")
 
 
 @pytest.fixture(autouse=True)
 def forked(monkeypatch):
-    monkeypatch.setattr(verify, "_forks", lambda: True)
+    monkeypatch.setattr(_child, "_forks", lambda: True)
 
 
 def _suite(monkeypatch, trial):
@@ -116,7 +115,7 @@ def test_one_claim_covers_several_blocks_when_blocks_outnumber_claims(
         Check("worst", 1.0, trial), Check("count", 0.0, lambda rng, i: float(i % 3))))
     got = run_checks(trials=trials, seed=3)
     _claimed_once(calls, trials, 2 * B)
-    monkeypatch.setattr(verify, "_forks", lambda: False)
+    monkeypatch.setattr(_child, "_forks", lambda: False)
     want = run_checks(trials=trials, seed=3)
     assert _bits(got) == _bits(want)
     assert want[1].max_error == sum(i % 3 for i in range(trials))
@@ -178,9 +177,9 @@ def test_a_parent_error_after_a_worker_error_raises_the_serial_error(monkeypatch
 
 def test_a_worker_that_sends_nothing_gives_the_in_process_results(monkeypatch):
     names = ["splitting-identity", "energy-conservation", "dynamics-transport"]
-    monkeypatch.setattr(verify, "_forks", lambda: False)
+    monkeypatch.setattr(_child, "_forks", lambda: False)
     want = run_checks(trials=3 * B, seed=5, names=names)
-    monkeypatch.setattr(verify, "_forks", lambda: True)
+    monkeypatch.setattr(_child, "_forks", lambda: True)
     monkeypatch.setattr(_child, "_send", lambda pipe, message: os._exit(0))
     got = run_checks(trials=3 * B, seed=5, names=names)
     assert _bits(got) == _bits(want)
@@ -189,9 +188,9 @@ def test_a_worker_that_sends_nothing_gives_the_in_process_results(monkeypatch):
 def test_a_worker_that_dies_in_a_claimed_block_gives_the_in_process_results(
         monkeypatch, handshake):
     names = ["splitting-identity", "energy-conservation", "dynamics-transport"]
-    monkeypatch.setattr(verify, "_forks", lambda: False)
+    monkeypatch.setattr(_child, "_forks", lambda: False)
     want = run_checks(trials=3 * B, seed=5, names=names)
-    monkeypatch.setattr(verify, "_forks", lambda: True)
+    monkeypatch.setattr(_child, "_forks", lambda: True)
 
     def dying(trial):
         def dies_in_the_worker(rng, i):
@@ -220,22 +219,3 @@ def test_an_interrupt_in_the_parent_kills_and_reaps_the_worker(monkeypatch, hand
     _suite(monkeypatch, trial)
     with pytest.raises(KeyboardInterrupt):
         run_checks(trials=4 * B)
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
-def test_a_process_pinned_to_one_cpu_folds_in_process(monkeypatch):
-    monkeypatch.setattr(verify, "_forks", FORKS)
-    cpus = os.sched_getaffinity(0)
-    names = ["splitting-identity", "characteristic-orientation"]
-    want = run_checks(trials=3 * B, seed=2, names=names)
-
-    def refused():
-        raise AssertionError("forked on one CPU")
-
-    monkeypatch.setattr(os, "fork", refused)
-    try:
-        os.sched_setaffinity(0, {min(cpus)})
-        got = run_checks(trials=3 * B, seed=2, names=names)
-    finally:
-        os.sched_setaffinity(0, cpus)
-    assert got == want

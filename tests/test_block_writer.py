@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-from galimech import _child, cli, verify
+from galimech import _child, cli
 from galimech.cli import main
 from galimech.frame_dynamics import Sample
 from test_trajectory_digest import RUNS, _digests
@@ -54,7 +54,7 @@ pytestmark = pytest.mark.usefixtures("no_child_left")
 @pytest.fixture(params=["forked", "in-process"])
 def way(request, monkeypatch):
     """The way the CLI writes its rows, whatever the machine."""
-    monkeypatch.setattr(cli, "_forks", lambda: request.param == "forked")
+    monkeypatch.setattr(_child, "_forks", lambda: request.param == "forked")
     return request.param
 
 
@@ -133,7 +133,7 @@ def _full(handle, rows):
 
 def test_a_writer_that_dies_unannounced_is_an_error(tmp_path, capsys, monkeypatch):
     """A forked writer that ends without a reason sent still fails the command."""
-    monkeypatch.setattr(cli, "_forks", lambda: True)
+    monkeypatch.setattr(_child, "_forks", lambda: True)
     monkeypatch.setattr(cli, "_write_block", lambda *block: os._exit(9))
     assert _run(tmp_path, SIMULATE, FREE, existing=False) == (2, True)
     assert capsys.readouterr().err == "error: out: CSV writer ended without a result\n"
@@ -160,7 +160,7 @@ def split(request, monkeypatch):
     """
     room = ROOM[request.param]
     turns = itertools.cycle(room)
-    monkeypatch.setattr(cli, "_forks", lambda: True)
+    monkeypatch.setattr(_child, "_forks", lambda: True)
     monkeypatch.setattr(cli, "_sent", lambda fd, message: next(turns) and _waiting(fd, message))
     formatted, rows = [], cli._rows
     monkeypatch.setattr(cli, "_rows", lambda *block: formatted.append(1) or rows(*block))
@@ -178,7 +178,7 @@ def test_either_side_formats_the_in_process_bytes(tmp_path, monkeypatch, split, 
     forked = (tmp_path / "run.csv").read_bytes()
     messages = runs * -(-(steps + 1) // cli._BLOCK)
     assert len(formatted) == sum(not room[i % len(room)] for i in range(messages))
-    monkeypatch.setattr(cli, "_forks", lambda: False)
+    monkeypatch.setattr(_child, "_forks", lambda: False)
     assert _run(tmp_path, command, text, existing=False)[0] == 0
     assert (tmp_path / "run.csv").read_bytes() == forked
 
@@ -196,7 +196,7 @@ def test_the_command_formats_the_blocks_a_full_pipe_cannot_take(tmp_path, monkey
 
     The command then waits for room to send the rows it formatted.
     """
-    monkeypatch.setattr(cli, "_forks", lambda: False)
+    monkeypatch.setattr(_child, "_forks", lambda: False)
     assert _run(tmp_path, command, LONG, existing=False)[0] == 0
     in_process = (tmp_path / "run.csv").read_bytes()
     parent, (wait, go), started = os.getpid(), os.pipe(), []
@@ -212,7 +212,7 @@ def test_the_command_formats_the_blocks_a_full_pipe_cannot_take(tmp_path, monkey
             started.append(os.read(wait, 1))
         write(handle, text)
 
-    monkeypatch.setattr(cli, "_forks", lambda: True)
+    monkeypatch.setattr(_child, "_forks", lambda: True)
     monkeypatch.setattr(cli, "_rows", formatted)
     monkeypatch.setattr(cli, "_write_block", late)
     try:
@@ -221,6 +221,22 @@ def test_the_command_formats_the_blocks_a_full_pipe_cannot_take(tmp_path, monkey
     finally:
         os.close(wait)
         os.close(go)
+
+
+@pytest.mark.parametrize("command", [SIMULATE, BOOST], ids=["simulate", "boost"])
+def test_a_message_the_pipe_takes_in_part_is_sent_whole(tmp_path, monkeypatch, command):
+    """Where ``PIPE_BUF`` is 512 bytes (macOS, FreeBSD), a write of a block's
+    floats may go in part; the command sends the rest, and the bytes are the same."""
+    monkeypatch.setattr(_child, "_forks", lambda: False)
+    assert _run(tmp_path, command, LONG, existing=False)[0] == 0
+    in_process = (tmp_path / "run.csv").read_bytes()
+    sizes, write = [], os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: sizes.append(len(data))
+                        or write(fd, data[:512]))
+    monkeypatch.setattr(_child, "_forks", lambda: True)
+    assert _run(tmp_path, command, LONG, existing=False)[0] == 0
+    assert (tmp_path / "run.csv").read_bytes() == in_process
+    assert max(sizes) > 512
 
 
 def test_a_wait_for_room_leaves_the_pipe_not_blocking():
@@ -239,7 +255,7 @@ def test_a_wait_for_room_leaves_the_pipe_not_blocking():
 @pytest.mark.parametrize("command", [SIMULATE, BOOST], ids=["simulate", "boost"])
 def test_a_write_error_with_formatted_blocks_in_flight(tmp_path, capsys, monkeypatch, command):
     """The writer fails while the command sends it rows it formatted: one line, exit 2."""
-    monkeypatch.setattr(cli, "_forks", lambda: True)
+    monkeypatch.setattr(_child, "_forks", lambda: True)
     monkeypatch.setattr(cli, "_sent", lambda fd, message: False)
     monkeypatch.setattr(cli, "_write_block", _full)
     assert _run(tmp_path, command, LONG, existing=True) == (2, True)
@@ -251,7 +267,7 @@ def test_the_largest_message_sent_without_waiting_fits_in_a_pipe(tmp_path, monke
     largest = cli._HEAD.size + 8 * cli._BLOCK * len(Sample._fields)
     assert largest <= select.PIPE_BUF
     sizes, sent = [], cli._sent
-    monkeypatch.setattr(cli, "_forks", lambda: True)
+    monkeypatch.setattr(_child, "_forks", lambda: True)
     monkeypatch.setattr(cli, "_sent", lambda fd, message: sizes.append(len(message))
                         or sent(fd, message))
     for command in SIMULATE, BOOST:
@@ -265,7 +281,7 @@ SECTION = cli._CSV_HEADER + b"".join(b"%d" % i + cli._CSV_FIELDS % s
 
 
 def test_what_a_handle_held_before_the_fork_is_written_once(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_forks", lambda: True)
+    monkeypatch.setattr(_child, "_forks", lambda: True)
     with open(tmp_path / "a", "wb") as handle:
         handle.write(b"before\n")
         with cli._block_writer((handle,)) as write:
@@ -275,7 +291,7 @@ def test_what_a_handle_held_before_the_fork_is_written_once(tmp_path, monkeypatc
 
 
 def test_in_memory_handles_are_written_in_process(monkeypatch):
-    monkeypatch.setattr(cli, "_forks", lambda: False)
+    monkeypatch.setattr(_child, "_forks", lambda: False)
     handles = io.BytesIO(), io.BytesIO()
     with cli._block_writer(handles) as write:
         collections.deque(cli._csv_sections((SAMPLES, SAMPLES), write), maxlen=0)
@@ -283,9 +299,7 @@ def test_in_memory_handles_are_written_in_process(monkeypatch):
 
 
 def test_the_writer_forks_only_where_it_can_run_beside(monkeypatch):
-    """A second usable CPU and no other thread; else the command writes.  The predicate
-    is the one ``verify`` shares."""
-    assert cli._forks is verify._forks is _child._forks
+    """A second usable CPU and no other thread; else the command writes."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert _child._forks()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
@@ -302,13 +316,3 @@ def test_the_writer_forks_only_where_it_can_run_beside(monkeypatch):
     assert not other.is_alive()
     monkeypatch.delattr(os, "fork")
     assert not _child._forks()
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
-def test_a_process_pinned_to_one_cpu_writes_in_process():
-    cpus = os.sched_getaffinity(0)
-    try:
-        os.sched_setaffinity(0, {min(cpus)})
-        assert not cli._forks()
-    finally:
-        os.sched_setaffinity(0, cpus)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from galimech import cli, verify
+from galimech import _child, verify
 from galimech.cli import main
 from galimech.verify import render_report, run_checks
 from test_block_writer import FREE
@@ -40,8 +40,8 @@ def test_a_child_runs_no_exit_hook_and_flushes_no_inherited_buffer(tmp_path, com
     """The child ends by ``os._exit``: stdout's buffer, the report and the hook appear once."""
     script = (
         "import atexit, sys\n"
-        "from galimech import cli, verify\n"
-        "cli._forks = verify._forks = lambda: True\n"
+        "from galimech import _child, cli\n"
+        "_child._forks = lambda: True\n"
         "atexit.register(print, 'exit hook')\n"
         "sys.stdout.write('buffered\\n')\n"
         f"code = cli.main({_argv(tmp_path, command)!r})\n"
@@ -64,8 +64,7 @@ def test_a_refused_fork_is_one_error_line_and_leaves_no_file_or_fd(tmp_path, cap
         raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
     argv = _argv(tmp_path, command)
-    monkeypatch.setattr(cli, "_forks", lambda: True)
-    monkeypatch.setattr(verify, "_forks", lambda: True)
+    monkeypatch.setattr(_child, "_forks", lambda: True)
     monkeypatch.setattr(os, "fork", refused)
     fds = sorted(os.listdir("/proc/self/fd"))
     assert main(argv) == 2
@@ -81,8 +80,8 @@ def test_a_child_whose_parent_is_killed_ends(tmp_path, command):
     reads, so it still ends rather than wait for input forever."""
     script = (
         "import os, signal\n"
-        "from galimech import cli, verify\n"
-        "cli._forks = verify._forks = lambda: True\n"
+        "from galimech import _child, cli\n"
+        "_child._forks = lambda: True\n"
         "fork = os.fork\n"
         "def fork_and_die():\n"
         "    if pid := fork():\n"
@@ -100,3 +99,34 @@ def test_a_child_whose_parent_is_killed_ends(tmp_path, command):
             os.kill(child, signal.SIGKILL)
             raise
     assert (parent.returncode, rest) == (-signal.SIGKILL, b"")
+
+
+# What each user of ``forked`` gives, run on a short free-particle config.
+PINNED = {
+    "writer": lambda tmp_path: (main(_argv(tmp_path, "simulate")),
+                                (tmp_path / "x").read_bytes()),
+    "run_checks": lambda tmp_path: run_checks(
+        trials=3 * verify._BLOCK, seed=2,
+        names=["splitting-identity", "characteristic-orientation"]),
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+@pytest.mark.parametrize("user", sorted(PINNED))
+def test_a_process_pinned_to_one_cpu_runs_in_process(tmp_path, monkeypatch, user):
+    """On one CPU neither the writer nor the worker is forked, and the result is
+    the one a run on every CPU gives."""
+    cpus = os.sched_getaffinity(0)
+    want = PINNED[user](tmp_path)
+
+    def refused():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "fork", refused)
+    try:
+        os.sched_setaffinity(0, {min(cpus)})
+        assert not _child._forks()
+        got = PINNED[user](tmp_path)
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert got == want

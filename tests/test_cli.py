@@ -369,7 +369,7 @@ def _per_row_section(samples) -> str:
 
 
 @pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK])
-def test_block_boundaries_write_the_per_row_bytes(tmp_path, csv_ways, count):
+def test_block_boundaries_write_the_per_row_bytes(tmp_path, ways, count):
     """``count`` samples per run: both outputs, either way, match a row-by-row rendering."""
     cfg = write(tmp_path, HARMONIC.replace("steps = 6284", f"steps = {count - 1}")
                 + "frame = 0.3, -0.2, 0.1\n")
@@ -382,7 +382,7 @@ def test_block_boundaries_write_the_per_row_bytes(tmp_path, csv_ways, count):
     assert len(first) == len(second) == count
     gap = max(abs(a[i] - b[i]) for a, b in zip(first, second) for i in range(4))
     simulated, boosted = tmp_path / "simulate.csv", tmp_path / "boost.txt"
-    for way in csv_ways:
+    for way in ways:
         assert main(["simulate", "--config", cfg, "--out", str(simulated)]) == 0
         assert main(["boost", "--config", cfg, "--boost", "0.7,0,-0.25",
                      "--out", str(boosted)]) == 0
@@ -513,10 +513,10 @@ def test_boost_zero_is_exact(tmp_path):
     assert out.read_text().splitlines()[-1] == "max_event_discrepancy=0"
 
 
-def test_boost_output_layout(tmp_path, csv_ways):
+def test_boost_output_layout(tmp_path, ways):
     out = tmp_path / "pair.txt"
     layouts = []
-    for way in csv_ways:
+    for way in ways:
         assert main(["boost", "--config", write(tmp_path, FREE),
                      "--boost", "0.25,0,0", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()

@@ -32,9 +32,9 @@ def _digests():
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_output_matches_golden_digest(tmp_path, csv_ways, name):
+def test_output_matches_golden_digest(tmp_path, ways, name):
     """Whether a forked writer or the command itself writes the rows."""
     out = tmp_path / name
-    for way in csv_ways:
+    for way in ways:
         assert main(RUNS[name] + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == _digests()[name], way

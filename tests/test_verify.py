@@ -6,7 +6,7 @@ from itertools import starmap
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from galimech import affine_values, homogeneous, verify
+from galimech import _child, affine_values, homogeneous, verify
 from galimech.chart import (
     Event,
     Frame,
@@ -122,7 +122,7 @@ def _bits(results):
 
 
 @pytest.mark.parametrize("seed", [42, 7])
-def test_every_suite_folds_what_fresh_generators_draw(seed, verify_ways):
+def test_every_suite_folds_what_fresh_generators_draw(seed, ways):
     # 130 trials cross block boundaries and end inside a block.
     ns = [130 if check.max_trials is None else min(130, check.max_trials) for check in CHECKS]
     wants = [(sum if check.tolerance == 0.0 else verify._worst)(
@@ -130,7 +130,7 @@ def test_every_suite_folds_what_fresh_generators_draw(seed, verify_ways):
         for check, n in zip(CHECKS, ns)]
     names = ["differential-lift-membership", "energy-conservation", "splitting-identity",
              "shell-transport"]
-    for way in verify_ways:
+    for way in ways:
         results = run_checks(trials=130, seed=seed)
         assert [r.name for r in results] == [check.name for check in CHECKS]
         for check, result, n, want in zip(CHECKS, results, ns, wants):
@@ -140,11 +140,11 @@ def test_every_suite_folds_what_fresh_generators_draw(seed, verify_ways):
 
 
 @pytest.mark.parametrize("trials", [1, 8, 9, 16, 17, 130])
-def test_both_ways_fold_the_same_bits(verify_ways, trials):
+def test_both_ways_fold_the_same_bits(ways, trials):
     names = ["potential-gradient-fd", "energy-conservation", "legendre-inversion",
              "dynamics-transport", "morse-off-shell-detection"]
     got = {way: _bits(run_checks(trials=trials, seed=trials, tolerance=1e-3, names=names))
-           for way in verify_ways}
+           for way in ways}
     assert got["forked"] == got["in-process"]
     assert {bits[3] for bits in got["forked"]} == {(1e-3).hex()}
 
@@ -171,7 +171,7 @@ def test_folds_carry_across_forked_blocks(monkeypatch, handshake):
         return 0.25 * (i == verify._BLOCK + 1)
 
     cap = verify._BLOCK + 4
-    monkeypatch.setattr(verify, "_forks", lambda: True)
+    monkeypatch.setattr(_child, "_forks", lambda: True)
     monkeypatch.setattr(verify, "CHECKS", (
         Check("parent-nan", 1.0, numeric(False)), Check("worker-nan", 1.0, numeric(True)),
         Check("verdict", 0.0, lambda rng, i: float(i % 3)),
@@ -184,7 +184,7 @@ def test_folds_carry_across_forked_blocks(monkeypatch, handshake):
 
 def test_folds_carry_across_blocks(monkeypatch):
     """In process, where every trial call is seen."""
-    monkeypatch.setattr(verify, "_forks", lambda: False)
+    monkeypatch.setattr(_child, "_forks", lambda: False)
     seen = {"numeric": [], "verdict": [], "capped": []}
 
     def numeric(rng, i):
@@ -214,7 +214,7 @@ def test_folds_carry_across_blocks(monkeypatch):
     assert seen["capped"] == list(range(cap))
 
 
-def test_a_trial_exception_leaves_run_checks_unchanged(monkeypatch, verify_ways):
+def test_a_trial_exception_leaves_run_checks_unchanged(monkeypatch, ways):
     error = KeyError("trial 40")
 
     def trial(rng, i):
@@ -223,7 +223,7 @@ def test_a_trial_exception_leaves_run_checks_unchanged(monkeypatch, verify_ways)
         return 0.0
 
     monkeypatch.setattr(verify, "CHECKS", (Check("raises", 1.0, trial),))
-    for way in verify_ways:
+    for way in ways:
         with pytest.raises(KeyError) as info:
             run_checks(trials=130, seed=3)
         assert info.value is error, way
@@ -366,6 +366,7 @@ def test_gate_is_inclusive():
     assert CheckResult("x", 1, 1e-12, 1e-12).passed
     assert CheckResult("x", 1, 0.0, 0.0).passed
     assert not CheckResult("x", 1, 2e-12, 1e-12).passed
+    assert not CheckResult("x", 1, math.nan, 1e-12).passed
 
 
 def test_runner_sums_verdicts_and_takes_the_worst_error(monkeypatch):
