@@ -3,7 +3,7 @@
 Everything lives in one global chart: a reference origin event, an
 orthonormal spatial basis, the rest frame and the time form that reads
 off elapsed time.  ``_frozen`` builds every frozen type in ``galimech``: a
-slots dataclass whose ``__init__`` sets the slots directly, since
+slots class whose ``__init__``, equality, hash and ``repr`` it compiles, since
 ``verify`` builds values by the hundred thousand.  Every operation is a
 pure function, so values can be shared freely, and the four linear types
 get add, subtract, negate, scale and ``components`` compiled by ``_linear``.
@@ -16,8 +16,6 @@ frame bookkeeping honest.
 """
 
 from __future__ import annotations
-
-from dataclasses import MISSING, dataclass, fields
 
 __all__ = [
     "FourVector",
@@ -45,33 +43,65 @@ __all__ = [
 _FRAME_TOL = 1e-12
 
 
-def _frozen(cls, methods=lambda slots: ""):
-    """A frozen slots dataclass with a compiled ``__init__``; every frozen type is one.
+class _Fields:
+    """``__dataclass_fields__`` of a ``_frozen`` class, built on first read.
 
-    A frozen dataclass's ``__init__`` looks up ``object.__setattr__`` per
-    field, so none is generated; this one calls each slot's setter, bound
-    once, at about half the cost, sets defaults and calls ``__post_init__``,
-    as copies and pickles do.  ``methods(slots)`` adds class-body source;
-    ``slots(template)`` joins the template filled in per field.
+    Only ``dataclasses.fields``, ``replace`` and ``is_dataclass`` read it.
     """
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    names = [f.name for f in fields(cls)]
+
+    def __init__(self, types: dict, defaults: dict):
+        self.types, self.defaults, self.fields = types, defaults, None
+
+    def __get__(self, obj, owner):
+        if self.fields is None:
+            import dataclasses
+            self.fields = {name: dataclasses.field(
+                default=self.defaults.get(name, dataclasses.MISSING)) for name in self.types}
+            for name, f in self.fields.items():
+                f.name, f.type, f._field_type = name, self.types[name], dataclasses._FIELD
+        return self.fields
+
+
+def _frozen(cls, methods=lambda slots: ""):
+    """A frozen slots class with compiled methods; every frozen type is one.
+
+    Fields are a ``_frozen`` base's, then the own annotations, with class
+    attributes as defaults.  ``__init__`` calls each slot's setter, bound
+    once, then ``__post_init__``, as copies and pickles do.  ``methods(slots)``
+    adds class-body source; ``slots(template)`` joins the template per field.
+    """
+    body = vars(cls)
+    own = body.get("__annotations__", {})
+    base = next((vars(b)["__dataclass_fields__"] for b in cls.__mro__
+                 if "__dataclass_fields__" in vars(b)), _Fields({}, {}))
+    types = {**base.types, **own}
+    defaults = {**base.defaults, **{name: body[name] for name in own if name in body}}
     def slots(template: str) -> str:
-        return ", ".join(template.format(name) for name in names)
-    namespace = {"__name__": cls.__module__, "cls": cls,
-                 "_defaults": tuple(f.default for f in fields(cls)
-                                    if f.default is not MISSING),
-                 **{f"_set_{name}": getattr(cls, name).__set__ for name in names}}
-    init = (f" def __init__(self, {slots('{0}')}):\n"
-            + "".join(f"  _set_{name}(self, {name})\n" for name in names)
-            + ("  self.__post_init__()\n" if hasattr(cls, "__post_init__") else "  pass\n")
-            + " __init__.__defaults__ = _defaults\n")
+        return ", ".join(template.format(name) for name in types)
+    row = "(" + "".join(f"{{0}}.{name}, " for name in types) + ")"  # a tuple of any size
+    params = ", ".join(name + f"=_defaults[{name!r}]" * (name in defaults) for name in types)
+    refuse = "  from dataclasses import FrozenInstanceError\n  raise FrozenInstanceError"
+    namespace = {"__name__": cls.__module__, "_defaults": defaults}
     # A class statement, so that each method gets its qualified name.
-    exec(f"class {cls.__name__}:\n{init}{methods(slots)}", namespace)
-    for name, method in vars(namespace[cls.__name__]).items():
-        if callable(method):
-            setattr(cls, name, method)
-    cls.__reduce__ = lambda self: (type(self), tuple(map(self.__getattribute__, names)))
+    exec(f"class {cls.__name__}:\n def __init__(self, {params}):\n"
+         + "".join(f"  _set_{name}(self, {name})\n" for name in types)
+         + ("  self.__post_init__()\n" if hasattr(cls, "__post_init__") else "  pass\n")
+         + f" def __eq__(self, other):\n  if other.__class__ is self.__class__:\n"
+         f"   return {row.format('self')} == {row.format('other')}\n  return NotImplemented\n"
+         f" def __hash__(self): return hash({row.format('self')})\n"
+         f" def __reduce__(self): return type(self), {row.format('self')}\n"
+         " def __repr__(self):\n"
+         f"  return f'{{self.__class__.__qualname__}}({slots('{0}={{self.{0}!r}}')})'\n"
+         f" def __setattr__(self, name, value):\n{refuse}(f'cannot assign to field {{name!r}}')\n"
+         f" def __delattr__(self, name):\n{refuse}(f'cannot delete field {{name!r}}')\n"
+         + methods(slots), namespace)
+    cls = type(cls)(cls.__name__, cls.__bases__, {
+        **{name: value for name, value in body.items()
+           if name not in (*own, "__dict__", "__weakref__")},
+        **{name: method for name, method in vars(namespace[cls.__name__]).items()
+           if callable(method)},
+        "__slots__": tuple(own), "__dataclass_fields__": _Fields(types, defaults)})
+    namespace.update(cls=cls, **{f"_set_{name}": getattr(cls, name).__set__ for name in types})
     return cls
 
 

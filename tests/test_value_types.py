@@ -1,19 +1,26 @@
-"""The frozen types keep dataclass semantics under a compiled ``__init__``.
+"""The frozen types keep dataclass semantics without ``dataclasses``.
 
 ``chart._frozen`` builds every frozen type: the chart's values, the
 paper's frame-free objects, the potentials, ``RunConfig`` and the
-``verify`` registry.  It writes each ``__init__`` to set the slots
-directly; the dataclass still defines the fields, equality, hashing,
-``repr``, the frozen ``__setattr__`` and ``dataclasses.replace``.
-Construction must still run ``__post_init__``, looked up on the class at
-each call, and so must a copy or an unpickling.
+``verify`` registry.  It compiles each ``__init__``, ``__eq__``,
+``__hash__``, ``__repr__``, ``__reduce__`` and the ``__setattr__`` and
+``__delattr__`` that refuse every name; ``dataclasses.fields``,
+``replace`` and ``is_dataclass`` read the fields it describes, and only
+they import ``dataclasses``.  Construction must still run
+``__post_init__``, looked up on the class at each call, and so must a
+copy or an unpickling.
 """
 
 import copy
 import dataclasses
 import inspect
+import json
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +38,8 @@ from galimech.chart import (
 from galimech.config import RunConfig
 from galimech.potentials import HarmonicPotential, UniformPotential, ZeroPotential
 from galimech.verify import Check, CheckResult
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 U = Frame(1.0, 0.5, -0.25, 0.125)
 X = Event(0.5, 1.0, -1.0, 2.0)
@@ -106,6 +115,108 @@ def test_copies_and_pickles_are_built_anew(value, duplicate):
         assert twin.value_at(0.5, 1.0, -1.0, 2.0) == value.value_at(0.5, 1.0, -1.0, 2.0)
         assert twin.differential_at(0.5, 1.0, -1.0, 2.0) == value.differential_at(
             0.5, 1.0, -1.0, 2.0)
+
+
+@pytest.mark.parametrize("value", VALUES + OTHERS, ids=lambda value: type(value).__name__)
+def test_every_name_is_refused(value):
+    """A name that is no field, ``_constants`` included, and deleting a field."""
+    before = _slots(value)
+    for name in ("not_a_field", "_constants"):
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, 1)
+    for f in dataclasses.fields(value)[:1]:
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=f"^cannot delete field '{f.name}'$"):
+            delattr(value, f.name)
+    assert _slots(value) == before
+
+
+@pytest.mark.parametrize("value", VALUES + OTHERS, ids=lambda value: type(value).__name__)
+def test_equality_hash_and_reduce_read_the_field_tuple(value):
+    fields = tuple(_slots(value))
+    assert value.__eq__(fields) is NotImplemented
+    assert value.__eq__(type(value)(*fields)) is True
+    assert hash(value) == hash(fields)
+    assert value.__reduce__() == (type(value), fields)
+
+
+def test_equality_needs_the_same_class_and_equal_field_tuples():
+    nan = math.nan
+    assert FourVector(*U.components()) != U and U != FourVector(*U.components())
+    assert SpatialVector(nan, 0.0, 0.0) == SpatialVector(nan, 0.0, 0.0)
+    assert SpatialVector(nan, 0.0, 0.0) != SpatialVector(float("nan"), 0.0, 0.0)
+    assert SpatialVector(1.0, 2.0, 3.0) != SpatialVector(1.0, 2.0, -3.0)
+
+
+def test_repr_is_the_dataclass_repr():
+    assert repr(U) == "Frame(dt=1.0, dx=0.5, dy=-0.25, dz=0.125)"
+    assert repr(ZeroPotential()) == "ZeroPotential()"
+    assert repr(HarmonicPotential(1.0)) == (
+        "HarmonicPotential(stiffness=1.0, center=Event(t=0.0, x=0.0, y=0.0, z=0.0))")
+    assert repr(CheckResult("suite", 3, 0.5, 1.0)) == (
+        "CheckResult(name='suite', trials=3, max_error=0.5, tolerance=1.0)")
+    assert repr(Check("suite", 1e-12, abs)) == (
+        "Check(name='suite', tolerance=1e-12, trial=<built-in function abs>, max_trials=None)")
+
+
+def test_a_plain_subclass_keeps_its_own_name_and_class():
+    class Marked(SpatialVector):
+        __slots__ = ()
+
+    marked = Marked(1.0, 2.0, 3.0)
+    assert Marked.__qualname__.endswith(".<locals>.Marked")
+    assert repr(marked) == f"{Marked.__qualname__}(x=1.0, y=2.0, z=3.0)"
+    assert marked.__reduce__() == (Marked, (1.0, 2.0, 3.0))
+    assert marked != SpatialVector(1.0, 2.0, 3.0) and marked == Marked(1.0, 2.0, 3.0)
+
+
+# Runs each command once in a fresh process, records which of ``_AVOIDED``
+# it imported, then reads every ``_frozen`` class's fields: the names, whether
+# ``vars(cls)`` stayed as it was, and ``dataclasses.is_dataclass``.
+_AVOIDED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+_START = """
+import json, sys
+from galimech import cli
+cfg, out = sys.argv[1:]
+codes = [cli.main(["simulate", "--config", cfg, "--out", out + "/run.csv"]),
+         cli.main(["boost", "--config", cfg, "--boost", "0.25,0,0", "--out", out + "/pair.txt"]),
+         cli.main(["verify", "--trials", "2"])]
+loaded = [name for name in %r if name in sys.modules]
+import dataclasses
+classes = {f"{cls.__module__}.{cls.__qualname__}": cls
+           for name, module in list(sys.modules.items()) if name.startswith("galimech")
+           for cls in vars(module).values()
+           if isinstance(cls, type) and "__dataclass_fields__" in vars(cls)}
+frozen = {}
+for name, cls in classes.items():
+    before = dict(vars(cls))
+    names = [f.name for f in dataclasses.fields(cls)]
+    after = vars(cls)
+    same = before.keys() == after.keys() and all(before[k] is after[k] for k in before)
+    frozen[name] = [names, same, dataclasses.is_dataclass(cls)]
+print(json.dumps([codes, loaded, frozen]))
+""" % (_AVOIDED,)
+
+
+def test_commands_start_and_run_without_dataclasses(tmp_path):
+    """Only ``dataclasses.fields``, ``replace`` or ``is_dataclass`` import it.
+
+    Reading the fields leaves each class's ``vars`` as they were.
+    """
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mass = 1.0\npotential.kind = harmonic\npotential.kappa = 1.0\n"
+                   "x0 = 0, 1, 0, 0\nv0 = 0.5, 0, 0\ndt = 0.125\nsteps = 10\n")
+    done = subprocess.run([sys.executable, "-c", _START, str(cfg), str(tmp_path)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert done.returncode == 0, done.stderr
+    codes, loaded, frozen = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0] and loaded == []
+    assert frozen == {
+        f"{type(value).__module__}.{type(value).__qualname__}":
+            [[f.name for f in dataclasses.fields(value)], True, True]
+        for value in VALUES + OTHERS}
 
 
 def test_post_init_is_looked_up_at_each_construction(monkeypatch):
